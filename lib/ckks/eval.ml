@@ -69,29 +69,37 @@ let add_const ctx a x =
 (* --- rescale ----------------------------------------------------------- *)
 
 (* Drop the top prime q_top and divide by it: the standard exact RNS
-   rescale c'_j = (c_j - c_top) * q_top^{-1} mod q_j. *)
+   rescale c'_j = (c_j - c_top) * q_top^{-1} mod q_j, in the Eval
+   domain.  Only the dropped limb is INTT'd; its residues mod each q_j
+   are NTT'd with q_j's plan and subtracted from the Eval limb.  The
+   NTT is linear mod q_j and both ends are canonical, so this equals
+   the Coeff-domain formula bit for bit. *)
 let rescale_poly p =
+  let p = Rns_poly.to_eval p in
   let basis = Rns_poly.basis p in
   let l = Basis.size basis in
   if l < 2 then invalid_arg "Eval.rescale: no prime left to drop";
-  let q_top = Basis.value basis (l - 1) in
-  let pc = Rns_poly.to_coeff p in
-  let top = Rns_poly.unsafe_limb_view pc (l - 1) in
-  let out_basis = Basis.prefix basis (l - 1) in
   let n = Rns_poly.n p in
-  let out = Rns_poly.create ~n ~basis:out_basis ~domain:Rns_poly.Coeff in
-  for j = 0 to l - 2 do
-    let md = Basis.modulus out_basis j in
-    let inv = Modarith.inv md (q_top mod Modarith.q md) in
-    let src = Rns_poly.unsafe_limb_view pc j in
-    let dst = Rns_poly.unsafe_limb_view out j in
-    for i = 0 to n - 1 do
-      let t = Limb_buf.unsafe_get top i mod Modarith.q md in
-      Limb_buf.unsafe_set dst i
-        (Modarith.mul md (Modarith.sub md (Limb_buf.unsafe_get src i) t) inv)
-    done
-  done;
-  Rns_poly.to_eval out
+  let q_top = Basis.value basis (l - 1) in
+  let out_basis = Basis.prefix basis (l - 1) in
+  let out = Rns_poly.create ~n ~basis:out_basis ~domain:Rns_poly.Eval in
+  Scratch.with_bufs ~n ~count:2 (fun bufs ->
+      let top = bufs.(0) and t = bufs.(1) in
+      Ntt.inverse_into (Ntt.plan ~q:q_top ~n) ~src:(Rns_poly.unsafe_limb_view p (l - 1)) ~dst:top;
+      for j = 0 to l - 2 do
+        let md = Basis.modulus out_basis j in
+        let q = Modarith.q md in
+        let inv = Modarith.inv md (q_top mod q) in
+        for i = 0 to n - 1 do
+          Limb_buf.unsafe_set t i (Limb_buf.unsafe_get top i mod q)
+        done;
+        Ntt.forward_into (Ntt.plan ~q ~n) ~src:t ~dst:t;
+        Fused_mac.sub_mul_shoup_range ~q ~w:inv ~w_sh:(Modarith.shoup md inv)
+          ~x:(Rns_poly.unsafe_limb_view p j) ~y:t
+          ~dst:(Rns_poly.unsafe_limb_view out j)
+          ~lo:0 ~hi:n
+      done);
+  out
 
 let rescale a =
   let basis = C.basis a in

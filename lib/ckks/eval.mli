@@ -30,7 +30,8 @@ val add_plain : context -> Ciphertext.t -> Cinnamon_util.Cplx.t array -> Ciphert
 
 val add_const : context -> Ciphertext.t -> float -> Ciphertext.t
 
-(** Exact RNS rescale of one polynomial: drop the top prime and divide. *)
+(** Exact RNS rescale of one polynomial: drop the top prime and divide.
+    Eval-domain result; only the dropped limb is inverse-transformed. *)
 val rescale_poly : Rns_poly.t -> Rns_poly.t
 
 (** Rescale a ciphertext: one level consumed, scale divided by the

@@ -24,6 +24,31 @@ val keyswitch :
   Rns_poly.t ->
   Rns_poly.t * Rns_poly.t
 
+(** {2 Round-robin digit layout (output aggregation)} *)
+
+(** The round-robin digits over the full chain, in switch-key order:
+    (owning chip, limb indices).  Chip [c] owns the limbs [i] with
+    [i mod chips = c], cut into consecutive sub-digits of at most
+    alpha limbs so that P dominates every digit product; with
+    [chips >= dnum] every chip holds exactly one digit. *)
+val round_robin_digits : Params.t -> chips:int -> (int * int list) list
+
+(** [keyswitch_partials params ~chips swk c]: the keyswitch of [c] with
+    a switch key laid out by {!round_robin_digits}, where each chip
+    mod-downs its own partial product and the partials are summed —
+    bitwise that sum.  Q_l products accumulate into one shared
+    accumulator; only the alpha P limbs stay per chip, and their
+    scaled INTTs are summed over chips before one conversion column,
+    one NTT and one epilogue per output limb.  Bit-identical for any
+    job count. *)
+val keyswitch_partials :
+  ?pool:Cinnamon_pool.Pool.t ->
+  Params.t ->
+  chips:int ->
+  Keys.switch_key ->
+  Rns_poly.t ->
+  Rns_poly.t * Rns_poly.t
+
 (** {2 Shared decomposition (hoisting)}
 
     Rotating one ciphertext by many amounts re-uses one digit
@@ -38,9 +63,6 @@ val decompose : ?pool:Cinnamon_pool.Pool.t -> Params.t -> Rns_poly.t -> decompos
 
 (** The extension basis Q_l ∪ P accumulators must live on. *)
 val target_basis : decomposition -> Basis.t
-
-(** The ciphertext basis Q_l the results land on. *)
-val level_basis : decomposition -> Basis.t
 
 (** Inner product of the shared decomposition with [swk] into
     caller-owned Eval accumulators over {!target_basis}, optionally

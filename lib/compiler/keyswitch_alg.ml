@@ -2,11 +2,10 @@
 
    Each algorithm exists in two forms:
 
-   1. A functional reference [run_*] operating on real RNS polynomials
-      with explicit per-chip data placement, so equivalence with the
-      sequential keyswitch (Cinnamon_ckks.Keyswitch) can be tested
-      end-to-end, and communication (limbs crossing chips) is counted
-      from actual data movement rather than a model.
+   1. A functional form [run_*] over real RNS polynomials: the
+      algorithm's placement of the keyswitch's limbs across chips, run
+      on the fused engine (Cinnamon_ckks.Keyswitch_fused) as a digit
+      layout, with the collectives that placement needs counted.
 
    2. A limb-IR emitter [emit] (in Lower_limb) that produces the
       per-chip instruction streams the scheduler and simulator consume.
@@ -43,117 +42,50 @@ let count_aggregate cnt ~limbs ~chips =
   (* reduce-scatter: each chip sends (chips-1)/chips of its data *)
   cnt.limbs_moved <- cnt.limbs_moved + (limbs * (chips - 1) / chips * chips)
 
-(* --- shared helpers ------------------------------------------------------ *)
-
-(* Modular (round-robin) limb ownership: limb index i lives on chip
-   i mod n (paper §4.3.1). *)
-let owner ~chips i = i mod chips
-
-(* Per-chip slice of a basis. *)
-let chip_indices ~chips ~limbs c =
-  List.filter (fun i -> owner ~chips i = c) (List.init limbs (fun i -> i))
-
 (* --- CiFHER broadcast keyswitching -------------------------------------- *)
 
 (* CiFHER [38] resolves cross-limb dependencies by broadcasting the
    inputs of every base conversion: the input limbs at mod-up and the
-   extension limbs of both accumulators at mod-down.  Functionally the
-   result is identical to sequential keyswitching; only the placement
-   and traffic differ, which we account for here. *)
+   extension limbs of both accumulators at mod-down.  After the
+   broadcasts every chip holds what the sequential algorithm reads, so
+   the result is the standard-layout keyswitch; only the traffic
+   differs. *)
 let run_cifher params swk c ~chips cnt =
-  let limbs = Rns_poly.level c in
-  count_broadcast cnt ~limbs ~chips;
-  (* After the broadcast every chip holds all limbs; compute proceeds
-     as in the sequential algorithm with outputs sharded per chip. *)
-  let k0, k1 = Keyswitch.keyswitch params swk c in
-  (* mod-down base conversions need the extension limbs of both
-     accumulators on every chip. *)
+  count_broadcast cnt ~limbs:(Rns_poly.level c) ~chips;
   let ext = Basis.size params.Params.p_basis in
   count_broadcast cnt ~limbs:ext ~chips;
   count_broadcast cnt ~limbs:ext ~chips;
-  (k0, k1)
+  Keyswitch_fused.keyswitch params swk c
 
 (* --- Input broadcast keyswitching (paper Fig. 8b) ------------------------ *)
 
 (* One broadcast of the input limbs; every chip then computes the
    extension limbs of every digit locally (duplicated work), so the
    mod-down needs no communication and each chip ends holding exactly
-   its modular share of the result.
-
-   The functional form computes, per chip, only the output limbs that
-   chip owns, then reassembles — verifying that the algorithm is
-   equivalent limb-for-limb to the sequential keyswitch. *)
+   its modular share of the output limbs.  Output limbs are independent
+   in the fused engine, so the union of the chips' shares is the
+   standard-layout keyswitch. *)
 let run_input_broadcast params swk c ~chips cnt =
-  let limbs = Rns_poly.level c in
-  count_broadcast cnt ~limbs ~chips;
-  let q_l = Rns_poly.basis c in
-  let p_basis = params.Params.p_basis in
-  let target = Basis.union q_l p_basis in
-  let digits = Keyswitch.split_digits params c in
-  let n = Rns_poly.n c in
-  (* Chip c computes the inner product over basis Q_c ∪ P where Q_c is
-     its modular share, using locally-computed extension limbs. *)
-  let per_chip =
-    List.init chips (fun chip ->
-        let q_idx = chip_indices ~chips ~limbs chip in
-        let local_basis = Basis.union (Basis.sub q_l q_idx) p_basis in
-        let acc0 = ref (Rns_poly.create ~n ~basis:local_basis ~domain:Rns_poly.Eval) in
-        let acc1 = ref (Rns_poly.create ~n ~basis:local_basis ~domain:Rns_poly.Eval) in
-        List.iter
-          (fun (digit_index, digit) ->
-            let d_i = digit_index / params.Params.alpha in
-            (* every chip has all input limbs post-broadcast: extend the
-               digit to this chip's local basis *)
-            let extended = Keyswitch.extend_digit digit ~target:local_basis in
-            let b = Rns_poly.restrict swk.Keys.swk_b.(d_i) local_basis in
-            let a = Rns_poly.restrict swk.Keys.swk_a.(d_i) local_basis in
-            acc0 := Rns_poly.add !acc0 (Rns_poly.mul extended b);
-            acc1 := Rns_poly.add !acc1 (Rns_poly.mul extended a))
-          digits;
-        let q_c = Basis.sub q_l q_idx in
-        let k0 = Mod_updown.mod_down !acc0 ~target:q_c ~ext:p_basis in
-        let k1 = Mod_updown.mod_down !acc1 ~target:q_c ~ext:p_basis in
-        (q_idx, k0, k1))
-  in
-  (* Reassemble the full result from the per-chip shards. *)
-  let k0 = Rns_poly.create ~n ~basis:q_l ~domain:Rns_poly.Eval in
-  let k1 = Rns_poly.create ~n ~basis:q_l ~domain:Rns_poly.Eval in
-  List.iter
-    (fun (q_idx, s0, s1) ->
-      List.iteri
-        (fun local_i global_i ->
-          Limb_buf.blit
-            ~src:(Rns_poly.unsafe_limb_view (Rns_poly.to_eval s0) local_i)
-            ~dst:(Rns_poly.unsafe_limb_view k0 global_i);
-          Limb_buf.blit
-            ~src:(Rns_poly.unsafe_limb_view (Rns_poly.to_eval s1) local_i)
-            ~dst:(Rns_poly.unsafe_limb_view k1 global_i))
-        q_idx)
-    per_chip;
-  ignore target;
-  (k0, k1)
+  count_broadcast cnt ~limbs:(Rns_poly.level c) ~chips;
+  Keyswitch_fused.keyswitch params swk c
 
 (* --- Output aggregation keyswitching (paper Fig. 8c) --------------------- *)
 
 (* The chips' modular limb shares are themselves used as the digits, so
    no input communication is needed.  Each chip mod-ups its share to
-   the full basis, multiplies by its digit's evalkey, and the partial
-   products are aggregate-scattered; the mod-down then runs locally on
-   each chip's share.  Requires a switch key with one digit per chip
-   partition — we materialize it by generating a fresh key whose digit
-   layout is the round-robin partition, which digit-selection freedom
-   makes legitimate (paper: "implementations with all possible choices
-   of digits are interchangeable"). *)
-
-(* A switch key for the round-robin digit layout over [chips] chips at
-   level [limbs].  Digit c = limb indices ≡ c (mod chips). *)
+   the full basis, multiplies by its digits' evalkeys, mod-downs its
+   partial, and the partials are aggregate-scattered.  Requires a
+   switch key whose digits are the round-robin chip partition — we
+   materialize it by generating a fresh key with that layout, which
+   digit-selection freedom makes legitimate (paper: "implementations
+   with all possible choices of digits are interchangeable").  A chip
+   share longer than alpha limbs (chips < dnum) is cut into sub-digits
+   so P still dominates every digit product. *)
 let gen_round_robin_key params sk ~s_from ~chips rng =
   let qp = Params.qp_basis params in
   let n = params.Params.n in
   let s_to = Keys.sk_over sk qp in
-  let limbs = params.Params.levels + 1 in
-  let make c =
-    let idx = chip_indices ~chips ~limbs c in
+  let make (_, idx) =
     let a = Rns_poly.random ~n ~basis:qp ~domain:Rns_poly.Eval rng in
     let e = Keys.sample_error params ~basis:qp rng in
     let scal = Keys.gadget_scalars_for params ~digit_indices:idx in
@@ -161,50 +93,20 @@ let gen_round_robin_key params sk ~s_from ~chips rng =
     let b = Rns_poly.add (Rns_poly.add (Rns_poly.neg (Rns_poly.mul a s_to)) e) key_term in
     (b, a)
   in
-  let pairs = List.init chips make in
+  let pairs = List.map make (Keyswitch_fused.round_robin_digits params ~chips) in
   {
     Keys.swk_b = Array.of_list (List.map fst pairs);
     Keys.swk_a = Array.of_list (List.map snd pairs);
   }
 
+(* Mod-down happens per chip BEFORE aggregating — mod-down and
+   aggregation commute up to rounding noise (paper §4.3.1), and the
+   aggregated payload then spans only Q (l limbs, not l+k). *)
 let run_output_aggregation params rr_swk c ~chips cnt =
-  let q_l = Rns_poly.basis c in
-  let limbs = Basis.size q_l in
-  let p_basis = params.Params.p_basis in
-  let target = Basis.union q_l p_basis in
-  let n = Rns_poly.n c in
-  (* Per chip: extend own digit to the full basis, multiply by evalkey. *)
-  let partials =
-    List.init chips (fun chip ->
-        let idx = chip_indices ~chips ~limbs chip in
-        if idx = [] then None
-        else begin
-          let digit = Rns_poly.restrict c (Basis.sub q_l idx) in
-          let extended = Keyswitch.extend_digit digit ~target in
-          let b = Rns_poly.restrict rr_swk.Keys.swk_b.(chip) target in
-          let a = Rns_poly.restrict rr_swk.Keys.swk_a.(chip) target in
-          Some (Rns_poly.mul extended b, Rns_poly.mul extended a)
-        end)
-  in
-  (* Mod-down each chip's partial BEFORE aggregating — mod-down and
-     aggregation commute up to rounding noise (paper §4.3.1), and the
-     aggregated payload then spans only Q (l limbs, not l+k). *)
-  let down =
-    List.map
-      (Option.map (fun (f0, f1) ->
-           ( Mod_updown.mod_down f0 ~target:q_l ~ext:p_basis,
-             Mod_updown.mod_down f1 ~target:q_l ~ext:p_basis )))
-      partials
-  in
+  let limbs = Rns_poly.level c in
   count_aggregate cnt ~limbs ~chips;
   count_aggregate cnt ~limbs ~chips;
-  let sum sel =
-    List.fold_left
-      (fun acc p -> match p with None -> acc | Some pair -> Rns_poly.add acc (sel pair))
-      (Rns_poly.create ~n ~basis:q_l ~domain:Rns_poly.Eval)
-      down
-  in
-  (sum fst, sum snd)
+  Keyswitch_fused.keyswitch_partials params ~chips rr_swk c
 
 (* --- dispatcher ----------------------------------------------------------- *)
 

@@ -1,11 +1,12 @@
 (** The parallel keyswitching algorithms (paper §4.3.1, Fig. 8) as
-    functional reference implementations over real RNS polynomials with
-    explicit per-chip placement and communication counting.
+    placements of the fused keyswitch ({!Cinnamon_ckks.Keyswitch_fused})
+    over real RNS polynomials, with the collectives each placement needs
+    counted.
 
-    Input-broadcast is bit-identical to sequential keyswitching;
-    output-aggregation (digits = chip partitions) is decrypt-equivalent;
-    CiFHER-style is bit-identical with 3x the collectives — all
-    asserted by tests. *)
+    Input-broadcast and CiFHER-style (3x the collectives) are
+    bit-identical to sequential keyswitching; output-aggregation
+    (digits = chip partitions) is decrypt-equivalent — all asserted by
+    tests. *)
 
 open Cinnamon_rns
 open Cinnamon_ckks
@@ -20,11 +21,6 @@ val new_counter : unit -> comm_counter
 val count_broadcast : comm_counter -> limbs:int -> chips:int -> unit
 val count_aggregate : comm_counter -> limbs:int -> chips:int -> unit
 
-(** Round-robin limb ownership (paper §4.3.1): limb i on chip i mod n. *)
-val owner : chips:int -> int -> int
-
-val chip_indices : chips:int -> limbs:int -> int -> int list
-
 (** CiFHER-style: broadcast at mod-up and twice at mod-down. *)
 val run_cifher :
   Params.t -> Keys.switch_key -> Rns_poly.t -> chips:int -> comm_counter ->
@@ -37,7 +33,9 @@ val run_input_broadcast :
   Rns_poly.t * Rns_poly.t
 
 (** Switch key whose digits are the round-robin chip partition (legal
-    by digit-selection freedom). *)
+    by digit-selection freedom), laid out by
+    {!Cinnamon_ckks.Keyswitch_fused.round_robin_digits}: a chip share
+    longer than alpha limbs is cut into sub-digits. *)
 val gen_round_robin_key :
   Params.t ->
   Keys.secret_key ->
@@ -47,7 +45,9 @@ val gen_round_robin_key :
   Keys.switch_key
 
 (** Cinnamon output-aggregation (Fig. 8c): no input communication; two
-    aggregations of the mod-downed partials. *)
+    aggregations of the mod-downed partials
+    ({!Cinnamon_ckks.Keyswitch_fused.keyswitch_partials}).  [rr_swk]
+    must come from {!gen_round_robin_key} with the same [chips]. *)
 val run_output_aggregation :
   Params.t -> Keys.switch_key -> Rns_poly.t -> chips:int -> comm_counter ->
   Rns_poly.t * Rns_poly.t

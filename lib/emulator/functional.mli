@@ -1,8 +1,9 @@
 (** Functional emulation of compiled programs: execute a ciphertext-
     level program on real encrypted data, routing every keyswitch
-    through the parallel algorithm the compiler's pass selected, with
-    explicit per-chip placement — the end-to-end correctness argument
-    for the compiler (the paper's CPU-emulator validation, §6.2). *)
+    through the parallel algorithm the compiler's pass selected (its
+    digit layout on the fused keyswitch engine, with its collectives
+    counted) — the end-to-end correctness argument for the compiler
+    (the paper's CPU-emulator validation, §6.2). *)
 
 open Cinnamon_ckks
 open Cinnamon_ir

@@ -166,6 +166,37 @@ let accumulate_column_into tbl ~(scaled : Limb_buf.t array) ~(dst : Limb_buf.t) 
     bset dst i0 (!acc mod qk)
   end
 
+(* The same column from wide sources: [scaled.(j)] may hold any
+   non-negative values (sums of several stage-1-scaled residues).
+   Every term is reduced mod p_k before its multiply, so the result is
+   bitwise the sum mod p_k of the summands' columns.  Unrolled by two
+   like [accumulate_column_into]; an odd length recomputes the last
+   coefficient in both lanes. *)
+let accumulate_column_wide_into tbl ~(scaled : Limb_buf.t array) ~(dst : Limb_buf.t) ~k =
+  let n = Limb_buf.length dst in
+  let qk = Basis.value tbl.dst k in
+  let factors = tbl.qhat_mod_p.(k) in
+  let batch = max 1 (max_int / ((qk - 1) * (qk - 1))) in
+  let i = ref 0 in
+  while !i < n do
+    let i0 = !i and i1 = min (!i + 1) (n - 1) in
+    let acc0 = ref 0 and acc1 = ref 0 and cnt = ref 0 in
+    for j = 0 to Array.length scaled - 1 do
+      let src = Array.unsafe_get scaled j and f = Array.unsafe_get factors j in
+      acc0 := !acc0 + (bget src i0 mod qk * f);
+      acc1 := !acc1 + (bget src i1 mod qk * f);
+      incr cnt;
+      if !cnt >= batch then begin
+        acc0 := !acc0 mod qk;
+        acc1 := !acc1 mod qk;
+        cnt := 1
+      end
+    done;
+    bset dst i1 (!acc1 mod qk);
+    bset dst i0 (!acc0 mod qk);
+    i := i0 + 2
+  done
+
 let accumulate_column tbl ~(scaled : Limb_buf.t array) ~out ~k =
   accumulate_column_into tbl ~scaled ~dst:(Rns_poly.unsafe_limb_view out k) ~k
 

@@ -33,6 +33,13 @@ val qhat_inv : table -> int -> int
     column {!convert} computes. *)
 val accumulate_column_into : table -> scaled:Limb_buf.t array -> dst:Limb_buf.t -> k:int -> unit
 
+(** {!accumulate_column_into} for wide sources: [scaled.(j)] may hold
+    any non-negative values, such as sums of several stage-1-scaled
+    residue sets; the result is bitwise the sum mod p{_k} of their
+    columns. *)
+val accumulate_column_wide_into :
+  table -> scaled:Limb_buf.t array -> dst:Limb_buf.t -> k:int -> unit
+
 (** [convert x ~dst] base-converts [x] (which must be in coefficient
     domain) to basis [dst]. The result represents [x + e·Q] for some
     integer [0 <= e < level x] (standard approximate conversion; the

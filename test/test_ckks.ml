@@ -228,6 +228,46 @@ let test_rescale_scale_tracking () =
     (Ciphertext.scale ca /. Float.of_int q_top)
     (Ciphertext.scale r)
 
+(* The Coeff-domain rescale Eval.rescale_poly was first written as:
+   INTT every limb, subtract the dropped limb, scale, NTT back. *)
+let reference_rescale_poly p =
+  let open Cinnamon_rns in
+  let basis = Rns_poly.basis p in
+  let l = Basis.size basis in
+  let q_top = Basis.value basis (l - 1) in
+  let pc = Rns_poly.to_coeff p in
+  let top = Rns_poly.unsafe_limb_view pc (l - 1) in
+  let out_basis = Basis.prefix basis (l - 1) in
+  let n = Rns_poly.n p in
+  let out = Rns_poly.create ~n ~basis:out_basis ~domain:Rns_poly.Coeff in
+  for j = 0 to l - 2 do
+    let md = Basis.modulus out_basis j in
+    let inv = Modarith.inv md (q_top mod Modarith.q md) in
+    let src = Rns_poly.unsafe_limb_view pc j in
+    let dst = Rns_poly.unsafe_limb_view out j in
+    for i = 0 to n - 1 do
+      let t = Limb_buf.unsafe_get top i mod Modarith.q md in
+      Limb_buf.unsafe_set dst i
+        (Modarith.mul md (Modarith.sub md (Limb_buf.unsafe_get src i) t) inv)
+    done
+  done;
+  Rns_poly.to_eval out
+
+let test_rescale_matches_reference () =
+  let params, _, _, _, _ = Lazy.force env in
+  for level = 1 to params.Params.levels do
+    let p =
+      Cinnamon_rns.Rns_poly.random ~n:params.Params.n
+        ~basis:(Params.basis_at_level params level)
+        ~domain:Cinnamon_rns.Rns_poly.Eval
+        (Rng.create ~seed:(70 + level))
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "level %d bitwise" level)
+      true
+      (Cinnamon_rns.Rns_poly.equal (reference_rescale_poly p) (Eval.rescale_poly p))
+  done
+
 let test_adjust_scale_exact () =
   let params, sk, pk, _, ctx = Lazy.force env in
   let rng = Rng.create ~seed:61 in
@@ -395,6 +435,7 @@ let suite =
       Alcotest.test_case "conjugate" `Quick test_conjugate;
       Alcotest.test_case "mul by i (monomial)" `Quick test_mul_by_i;
       Alcotest.test_case "rescale scale tracking" `Quick test_rescale_scale_tracking;
+      Alcotest.test_case "rescale = Coeff-domain reference" `Quick test_rescale_matches_reference;
       Alcotest.test_case "adjust_scale exact" `Quick test_adjust_scale_exact;
       Alcotest.test_case "keyswitch correctness" `Quick test_keyswitch_relinearizes;
       Alcotest.test_case "keyswitch below top" `Quick test_keyswitch_at_lower_level;

@@ -72,19 +72,19 @@ let demo_program =
       let s = Dsl.square m in
       Dsl.output s "out")
 
-let emu_env =
-  lazy
-    (let params = Lazy.force Params.small in
-     let rng = Rng.create ~seed:505 in
-     let cfg = Compile_config.functional ~chips:4 params in
-     let poly = Lower_poly.lower cfg demo_program in
-     let _report = Keyswitch_pass.run cfg poly in
-     let rotations = F.rotations_of demo_program in
-     let keys = F.gen_keys params ~chips:4 ~rotations rng in
-     (params, cfg, poly, keys, rng))
+let make_emu_env ~chips =
+  let params = Lazy.force Params.small in
+  let rng = Rng.create ~seed:505 in
+  let cfg = Compile_config.functional ~chips params in
+  let poly = Lower_poly.lower cfg demo_program in
+  let _report = Keyswitch_pass.run cfg poly in
+  let rotations = F.rotations_of demo_program in
+  let keys = F.gen_keys params ~chips ~rotations rng in
+  (params, cfg, poly, keys, rng)
 
-let test_emulator_end_to_end () =
-  let params, _, poly, keys, _ = Lazy.force emu_env in
+let emu_env = lazy (make_emu_env ~chips:4)
+
+let emulate (params, _, poly, keys, _) =
   let rng = Rng.create ~seed:506 in
   let slots = 64 in
   let xs = Array.init slots (fun i -> 0.3 *. sin (Float.of_int i)) in
@@ -125,7 +125,19 @@ let test_emulator_end_to_end () =
     (Stats.max_abs_error ~expected:expect ~actual:got < 1e-2);
   (* communication happened through parallel algorithms *)
   Alcotest.(check bool) "parallel comm recorded" true
-    (env.F.comm.Keyswitch_alg.n_broadcast + env.F.comm.Keyswitch_alg.n_aggregate > 0)
+    (env.F.comm.Keyswitch_alg.n_broadcast + env.F.comm.Keyswitch_alg.n_aggregate > 0);
+  poly
+
+let test_emulator_end_to_end () = ignore (emulate (Lazy.force emu_env))
+
+(* Two chips, fewer than the three digits: output aggregation's chip
+   shares are cut into sub-digits, and the program still decrypts. *)
+let test_emulator_two_chips () =
+  let poly = emulate (make_emu_env ~chips:2) in
+  let has_oa =
+    Hashtbl.fold (fun _ a acc -> acc || a = Cinnamon_ir.Poly_ir.Output_aggregation) (F.algorithms_of_poly poly) false
+  in
+  Alcotest.(check bool) "output-aggregation exercised" true has_oa
 
 let test_emulator_uses_pass_algorithms () =
   let _, _, poly, _, _ = Lazy.force emu_env in
@@ -164,6 +176,7 @@ let suite =
       Alcotest.test_case "check catches bad read" `Quick test_check_catches_bad_read;
       Alcotest.test_case "check catches missing participant" `Quick test_check_catches_missing_collective;
       Alcotest.test_case "functional e2e" `Slow test_emulator_end_to_end;
+      Alcotest.test_case "functional e2e, 2 chips" `Slow test_emulator_two_chips;
       Alcotest.test_case "pass algorithms used" `Quick test_emulator_uses_pass_algorithms;
       Alcotest.test_case "add-only program" `Quick test_emulator_add_only_program;
     ] )
