@@ -925,12 +925,13 @@ let kernels () =
    rate into BENCH_cinnamon.json (serve_loadtest section) so the
    serving SLOs have a trajectory across commits. *)
 
-let serve_results : Cinnamon_serve.Loadgen.result list ref = ref []
+let serve_results : Cinnamon_fleet.Loadgen.result list ref = ref []
 
 let serve () =
   section_header
     (Printf.sprintf "Serving load test (%s preset)" (if !quick then "quick" else "default"));
-  let open Cinnamon_serve in
+  let open Cinnamon_fleet in
+  let module Slo = Cinnamon_serve.Slo in
   let base = if !quick then Loadgen.quick else Loadgen.default in
   let cfg = { base with Loadgen.lg_jobs = !jobs } in
   let r = Loadgen.run cfg in
@@ -1078,8 +1079,8 @@ let write_bench_json file ~wall_seconds =
           ( "serve_loadtest",
             Json.Obj
               (List.map
-                 (fun (r : Cinnamon_serve.Loadgen.result) ->
-                   (r.Cinnamon_serve.Loadgen.lr_mode, Cinnamon_serve.Loadgen.result_json r))
+                 (fun (r : Cinnamon_fleet.Loadgen.result) ->
+                   (r.Cinnamon_fleet.Loadgen.lr_mode, Cinnamon_fleet.Loadgen.result_json r))
                  !serve_results) );
         ]
         @

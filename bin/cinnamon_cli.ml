@@ -316,9 +316,10 @@ let do_bench bench system verify jobs cache_dir list trace metrics =
       | None -> ());
       0
 
-(* serve-sim: play a generated request stream through the virtual-time
-   serving layer (lib/serve) and report SLO metrics. *)
-module Loadgen = Cinnamon_serve.Loadgen
+(* serve-sim: play a generated request stream through one virtual-time
+   serving node (a one-node fleet, lib/fleet) and report SLO metrics. *)
+module Loadgen = Cinnamon_fleet.Loadgen
+module Scenario = Cinnamon_fleet.Scenario
 module Node = Cinnamon_serve.Node
 
 let quick_arg =
@@ -433,7 +434,8 @@ let do_serve_sim quick mode requests overload clients think seed deadline worker
   guarded @@ fun () ->
   let r = Loadgen.run cfg in
   Loadgen.print_result r;
-  Loadgen.write_section ~file:bench_json r;
+  Scenario.merge_section ~file:bench_json [ "serve_loadtest"; r.Loadgen.lr_mode ]
+    (Loadgen.result_json r);
   Printf.printf "serve_loadtest: merged %s section into %s\n" r.Loadgen.lr_mode bench_json;
   0
 
@@ -538,7 +540,7 @@ let do_serve_tenants quick tenants nodes requests overload seed deadline key_loa
   in
   let r = Tenant_bench.run cfg in
   Tenant_bench.print_result r;
-  Tenant_bench.write_section ~file:bench_json r;
+  Scenario.merge_section ~file:bench_json [ "tenant_serving" ] (Tenant_bench.result_json r);
   Printf.printf "\ntenant_serving: merged section into %s\n" bench_json;
   0
 
@@ -588,7 +590,7 @@ let do_serve_fleet quick nodes policy trace_shape requests overload seed deadlin
   in
   let r = Fleet_bench.run cfg in
   Fleet_bench.print_result r;
-  Fleet_bench.write_section ~file:bench_json r;
+  Scenario.merge_section ~file:bench_json [ "serve_fleet" ] (Fleet_bench.result_json r);
   Printf.printf "\nserve_fleet: merged section into %s\n" bench_json;
   0
 

@@ -18,15 +18,13 @@ let () =
      cache), then derive the arrival rate from the fleet's capacity. *)
   let mix =
     [
-      { Serve.Loadgen.cls_bench = "bootstrap"; cls_system = "cinnamon-4"; cls_weight = 0.7 };
-      { Serve.Loadgen.cls_bench = "resnet"; cls_system = "cinnamon-4"; cls_weight = 0.3 };
+      { Fleet.Scenario.cls_bench = "bootstrap"; cls_system = "cinnamon-4"; cls_weight = 0.7 };
+      { Fleet.Scenario.cls_bench = "resnet"; cls_system = "cinnamon-4"; cls_weight = 0.3 };
     ]
   in
   let compile = Cinnamon_compiler.Compile_config.paper () in
-  let classes = Serve.Loadgen.calibrate ~pool ~compile mix in
-  let mean_service =
-    List.fold_left (fun acc (c, s) -> acc +. (c.Serve.Loadgen.cls_weight *. s)) 0.0 classes
-  in
+  let classes = Fleet.Scenario.calibrate ~pool ~compile mix in
+  let mean_service = Fleet.Scenario.mean_service classes in
   let capacity = { Serve.Node.default_capacity with Serve.Node.workers = 2; queue_capacity = 16 } in
   let nodes = 3 in
   let rate = 1.3 *. Float.of_int (nodes * 2) /. mean_service in
@@ -43,23 +41,18 @@ let () =
       }
       ~classes
   in
-  (* Every node implements the same typed Node interface the
-     single-node server uses — here all homogeneous, all running the
-     real compile+simulate executor. *)
-  let make_node id =
-    Serve.Node.make
-      ~name:(Printf.sprintf "node%d" id)
-      ~capacity ~execute:Serve.Loadgen.workload_executor ()
-  in
+  (* Every node implements the same typed Node interface — here all
+     homogeneous, all running the real compile+simulate executor.  One
+     default tenant: each node holds one key set, and loading a cold
+     one costs half a mean service time. *)
+  let make_node = Fleet.Scenario.make_node ~capacity in
   let cfg =
     {
       Fleet.Fleet.fc_nodes = nodes;
       fc_policy = Fleet.Router.Locality;
-      fc_key_slots = 1;
-      fc_key_load_s = 0.5 *. mean_service;
       fc_autoscale = Some { Fleet.Autoscaler.default with Fleet.Autoscaler.as_max_nodes = 6 };
       fc_collect_responses = false;
-      fc_tenancy = None;
+      fc_tenancy = Fleet.Fleet.single_tenant ~key_load_s:(0.5 *. mean_service) compile;
     }
   in
   let r = Fleet.Fleet.run ~pool cfg ~make_node ~arrivals () in

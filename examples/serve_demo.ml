@@ -1,5 +1,5 @@
 (* The encrypted-inference serving layer on one page: offer a burst of
-   bootstrap requests to the admission queue, let the dynamic batcher
+   bootstrap requests to one serving node (a one-node fleet), let the dynamic batcher
    pack compatible requests (same benchmark, system and compile
    config) so one compile serves the whole batch, and read the SLO
    report — latency percentiles, goodput, shed rate — plus the
@@ -7,13 +7,11 @@
 
    Run with:  dune exec examples/serve_demo.exe *)
 
-module Serve = Cinnamon_serve
-module Loadgen = Serve.Loadgen
-module Server = Serve.Server
-module Slo = Serve.Slo
+module Loadgen = Cinnamon_fleet.Loadgen
+module Slo = Cinnamon_serve.Slo
 
 let () =
-  (* Open loop: Poisson arrivals at 4x the server's service capacity —
+  (* Open loop: Poisson arrivals at 4x the node's service capacity —
      deliberately overloaded so queueing, batching and deadline
      shedding all show up in a few seconds of wall clock. *)
   let open_cfg = { Loadgen.quick with Loadgen.lg_requests = 60; lg_jobs = 2 } in

@@ -1,8 +1,10 @@
-(* The multi-node serving driver: one discrete-event loop over the
-   shared virtual clock stepping N per-node Engines, with a Router
-   deciding admission placement, per-node warm-key caches modeling
-   HBM-resident evaluation/rotation key sets, and an optional
-   Autoscaler growing/shrinking the fleet from live SLO signals.
+(* The serving driver: one discrete-event loop over the shared virtual
+   clock stepping N per-node Engines, with a Router deciding admission
+   placement, per-node warm-key caches modeling HBM-resident
+   evaluation/rotation key sets, a tenant key store, and an optional
+   Autoscaler growing/shrinking the fleet from live SLO signals.  A
+   single server is a one-node fleet; a single-tenant run is one
+   default tenant whose keys never rotate.
 
    Determinism.  Every decision that shapes the run — routing, batch
    formation, key-cache penalties, autoscaling — happens sequentially
@@ -11,21 +13,24 @@
    batches formed on ALL nodes are fanned across one shared
    Exec.Pool in a single order-preserving map (Engine.execute touches
    no engine state), then committed back in formation order.  So fleet
-   results are bit-identical for any --jobs, the same property the
-   single-node server and Runner.run_sweep have.
+   results are bit-identical for any --jobs, the same property
+   Runner.run_sweep has.
 
    Accounting.  Each engine's Slo accumulator absorbs everything that
-   happens to requests it owns; requests no node could take (router
-   found every queue full) are Rejected with the typed
-   Admission.Fleet_full error against a router-level accumulator.
-   [Slo.merge] over router + every node ever spawned restores the
-   exactly-one-terminal-response identity fleet-wide.
+   happens to requests it owns.  A request no admitting node has room
+   for is offered to the lowest-id admitting node anyway (node 0 once
+   none admits), whose queue rejects it with its own typed reason
+   (Queue_full or Closed) — so a one-node fleet answers exactly like a
+   single server.  Only tenant-store refusals are accounted at the
+   router.  [Slo.merge] over router + every node ever spawned restores
+   the exactly-one-terminal-response identity fleet-wide.
 
-   Scaling.  Scale-up spawns [make_node id] and routes to it from the
-   next arrival on (its key cache starts cold).  Scale-down drains the
-   newest active node: admission closes immediately (the router stops
-   seeing it), admitted work runs to completion, and the empty shell
-   is dropped from stepping once drained. *)
+   Drain and scaling.  A node stops admitting at its own
+   [drain_after_s] or when the autoscaler drains it (the newest
+   admitting node); either way the router stops seeing it, admitted
+   work runs to completion, and the empty shell is dropped from
+   stepping once drained.  Scale-up spawns [make_node id] and routes
+   to it from the next arrival on (its key cache starts cold). *)
 
 module Tel = Cinnamon_telemetry.Telemetry
 module Exec = Cinnamon_exec
@@ -40,44 +45,51 @@ module Slo = Cinnamon_serve.Slo
 module Store = Cinnamon_tenant.Store
 module Key_set = Cinnamon_tenant.Key_set
 module Tenant_id = Cinnamon_tenant.Tenant_id
-module Transcipher = Cinnamon_tenant.Transcipher
 
-(* Multi-tenant serving: the fleet owns one tenant key store (lazily
+(* The tenant layer: the fleet owns one tenant key store (lazily
    provisioning tenants on their first arrival), stamps each admitted
    request with the epoch its lease bound, weighs the per-node key
    caches by modeled key-set bytes, and charges cold dispatches the
    HBM load of the bytes they stream in.  The transciphering ingress
    adds [tn_transcipher_s] per request of a dispatched batch — the
    calibrated cost of the K_transcipher conversion circuit that turns
-   the client's symmetric upload into a CKKS ciphertext — and the
-   upload model records the bytes that ingress saves. *)
+   the client's symmetric upload into a CKKS ciphertext.  A
+   single-tenant run is the same machinery with one default tenant. *)
 type tenancy = {
   tn_store : Store.config;
   tn_key_capacity_bytes : int; (* per-node HBM key budget *)
   tn_key_load_s_per_gb : float; (* HBM load penalty per GB streamed in *)
   tn_transcipher_s : float; (* ingress service per request; 0 = disabled *)
-  tn_upload : Transcipher.upload; (* client-upload byte model *)
 }
+
+let single_tenant ?(key_slots = 1) ?(key_load_s = 0.0) compile =
+  if key_slots < 1 then Error.fail Error.Invalid_input "Fleet.single_tenant: key_slots must be >= 1";
+  if key_load_s < 0.0 || Float.is_nan key_load_s then
+    Error.fail Error.Invalid_input "Fleet.single_tenant: key_load_s must be >= 0";
+  let store = Store.default_config (Key_set.profile_of_config compile) in
+  let set_bytes = Store.key_set_bytes store in
+  {
+    tn_store = store;
+    tn_key_capacity_bytes = key_slots * set_bytes;
+    tn_key_load_s_per_gb = key_load_s /. (Float.of_int set_bytes /. 1e9);
+    tn_transcipher_s = 0.0;
+  }
 
 type config = {
   fc_nodes : int; (* initial fleet size *)
   fc_policy : Router.policy;
-  fc_key_slots : int; (* per-node warm-key cache capacity (legacy mode) *)
-  fc_key_load_s : float; (* modeled HBM key-load penalty on a cold dispatch *)
   fc_autoscale : Autoscaler.config option;
   fc_collect_responses : bool; (* retain terminal responses (tests; O(requests)) *)
-  fc_tenancy : tenancy option; (* None = single-tenant legacy behaviour *)
+  fc_tenancy : tenancy;
 }
 
 let default_config =
   {
     fc_nodes = 4;
     fc_policy = Router.Least_loaded;
-    fc_key_slots = 1;
-    fc_key_load_s = 0.0;
     fc_autoscale = None;
     fc_collect_responses = false;
-    fc_tenancy = None;
+    fc_tenancy = single_tenant (Cinnamon_compiler.Compile_config.paper ());
   }
 
 (* Per-run tenant accounting, all accumulated sequentially on the
@@ -88,8 +100,6 @@ type tenant_result = {
   tr_transcipher_s : float; (* summed ingress seconds *)
   tr_base_service_s : float; (* summed batch service seconds (no penalties) *)
   tr_key_bytes_loaded : int; (* HBM key traffic across all nodes *)
-  tr_upload_sym_bytes : float; (* client bytes actually uploaded *)
-  tr_upload_ckks_bytes : float; (* counterfactual direct-CKKS upload *)
   tr_cold_start_ms : (int * float) list; (* tenant -> first-completion latency *)
   tr_events : Store.event list; (* rotation starts/completions *)
 }
@@ -104,19 +114,14 @@ type result = {
   fr_nodes_peak : int;
   fr_nodes_final : int;
   fr_responses : Response.t list; (* [] unless fc_collect_responses *)
-  fr_tenants : tenant_result option; (* Some iff fc_tenancy *)
+  fr_tenants : tenant_result;
 }
 
 let key_hit_rate r =
   let total = r.fr_key_hits + r.fr_key_misses in
   if total = 0 then 0.0 else Float.of_int r.fr_key_hits /. Float.of_int total
 
-type fnode = {
-  fn_id : int;
-  fn_engine : Engine.t;
-  fn_keys : Key_cache.t;
-  mutable fn_draining : bool;
-}
+type fnode = { fn_id : int; fn_engine : Engine.t; fn_keys : Key_cache.t }
 
 let cmp_arrival (a : Request.t) (b : Request.t) =
   match Float.compare a.Request.req_arrival_s b.Request.req_arrival_s with
@@ -125,28 +130,20 @@ let cmp_arrival (a : Request.t) (b : Request.t) =
 
 let run ?pool config ~make_node ~arrivals () =
   if config.fc_nodes < 1 then Error.fail Error.Invalid_input "Fleet.run: fc_nodes must be >= 1";
-  if config.fc_key_slots < 1 then
-    Error.fail Error.Invalid_input "Fleet.run: fc_key_slots must be >= 1";
-  if config.fc_key_load_s < 0.0 || Float.is_nan config.fc_key_load_s then
-    Error.fail Error.Invalid_input "Fleet.run: fc_key_load_s must be >= 0";
-  Option.iter
-    (fun tn ->
-      if tn.tn_key_capacity_bytes < 1 then
-        Error.fail Error.Invalid_input "Fleet.run: tenancy key capacity must be >= 1 byte";
-      if tn.tn_key_load_s_per_gb < 0.0 || Float.is_nan tn.tn_key_load_s_per_gb then
-        Error.fail Error.Invalid_input "Fleet.run: tenancy key-load rate must be >= 0";
-      if tn.tn_transcipher_s < 0.0 || Float.is_nan tn.tn_transcipher_s then
-        Error.fail Error.Invalid_input "Fleet.run: transcipher service must be >= 0")
-    config.fc_tenancy;
+  let tn = config.fc_tenancy in
+  if tn.tn_key_capacity_bytes < 1 then
+    Error.fail Error.Invalid_input "Fleet.run: tenancy key capacity must be >= 1 byte";
+  if tn.tn_key_load_s_per_gb < 0.0 || Float.is_nan tn.tn_key_load_s_per_gb then
+    Error.fail Error.Invalid_input "Fleet.run: tenancy key-load rate must be >= 0";
+  if tn.tn_transcipher_s < 0.0 || Float.is_nan tn.tn_transcipher_s then
+    Error.fail Error.Invalid_input "Fleet.run: transcipher service must be >= 0";
   Option.iter Autoscaler.validate config.fc_autoscale;
   Tel.name_process ~pid:Engine.serve_pid "serve (virtual time)";
-  let store = Option.map (fun tn -> Store.create tn.tn_store) config.fc_tenancy in
+  let store = Store.create tn.tn_store in
   (* tenant accounting, all mutated sequentially on the virtual clock *)
   let key_penalty_s = ref 0.0 in
   let transcipher_s = ref 0.0 in
   let base_service_s = ref 0.0 in
-  let upload_sym = ref 0.0 in
-  let upload_ckks = ref 0.0 in
   let cold_start = Hashtbl.create 64 in (* tenant int -> first-completion ms *)
   let store_events = ref [] in
   let pending = ref (List.stable_sort cmp_arrival arrivals) in
@@ -154,26 +151,22 @@ let run ?pool config ~make_node ~arrivals () =
     if rs <> [] then pending := List.merge cmp_arrival (List.stable_sort cmp_arrival rs) !pending
   in
   let responses = ref [] in
-  let record resp = if config.fc_collect_responses then responses := resp :: !responses in
   (* every terminal response funnels through here exactly once: drop
      the request's key lease (its epoch may now finish rotating) and
      log the tenant's first completion for cold-start percentiles *)
   let terminal (resp : Response.t) =
-    (match store with
-    | Some st -> (
-      let r = resp.Response.req in
-      match resp.Response.outcome with
-      | Response.Rejected (Admission.Tenant_unavailable _) ->
-        () (* never leased: the store refused at admission *)
-      | _ ->
-        Store.release st r.Request.req_tenant r.Request.req_epoch;
-        (match Response.latency_s resp with
-        | Some l ->
-          let tid = Tenant_id.to_int r.Request.req_tenant in
-          if not (Hashtbl.mem cold_start tid) then Hashtbl.replace cold_start tid (l *. 1e3)
-        | None -> ()))
-    | None -> ());
-    record resp
+    let r = resp.Response.req in
+    (match resp.Response.outcome with
+    | Response.Rejected (Admission.Tenant_unavailable _) ->
+      () (* never leased: the store refused at admission *)
+    | _ -> (
+      Store.release store r.Request.req_tenant r.Request.req_epoch;
+      match Response.latency_s resp with
+      | Some l ->
+        let tid = Tenant_id.to_int r.Request.req_tenant in
+        if not (Hashtbl.mem cold_start tid) then Hashtbl.replace cold_start tid (l *. 1e3)
+      | None -> ()));
+    if config.fc_collect_responses then responses := resp :: !responses
   in
   let mk_fnode id =
     let node = make_node id in
@@ -182,12 +175,11 @@ let run ?pool config ~make_node ~arrivals () =
       (* closed-loop follow-ups re-enter through the router *)
       insert_pending (node.Node.on_terminal resp)
     in
-    let keys =
-      match config.fc_tenancy with
-      | None -> Key_cache.create_slots ~slots:config.fc_key_slots
-      | Some tn -> Key_cache.create ~capacity_bytes:tn.tn_key_capacity_bytes
-    in
-    { fn_id = id; fn_engine = Engine.create ~node ~respond; fn_keys = keys; fn_draining = false }
+    {
+      fn_id = id;
+      fn_engine = Engine.create ~node ~respond;
+      fn_keys = Key_cache.create ~capacity_bytes:tn.tn_key_capacity_bytes;
+    }
   in
   let next_node_id = ref 0 in
   let spawn () =
@@ -195,11 +187,15 @@ let run ?pool config ~make_node ~arrivals () =
     incr next_node_id;
     mk_fnode id
   in
-  (* all nodes ever spawned, in id order; draining shells are dropped
-     from this list once empty but their SLO accumulators are kept *)
+  (* the nodes still stepped, in id order; a closed node is dropped
+     from this list once drained, but its SLO accumulator and key
+     counters are kept in [retired] *)
   let nodes = ref (List.init config.fc_nodes (fun _ -> spawn ())) in
-  let retired = ref [] in (* drained shells: SLO + key counters still count *)
-  let active () = List.filter (fun n -> not n.fn_draining) !nodes in
+  let node0 = List.hd !nodes in
+  let retired = ref [] in
+  (* admitting nodes: neither drained by the autoscaler nor past their
+     own drain deadline *)
+  let active () = List.filter (fun fn -> not (Engine.is_closed fn.fn_engine)) !nodes in
   let nodes_peak = ref config.fc_nodes in
   let router = Router.create config.fc_policy in
   let router_slo = Slo.create () in
@@ -220,9 +216,7 @@ let run ?pool config ~make_node ~arrivals () =
          warm caches of older nodes intact *)
       match List.rev (active ()) with
       | [] -> ()
-      | newest :: _ ->
-        newest.fn_draining <- true;
-        Engine.close newest.fn_engine)
+      | newest :: _ -> Engine.close newest.fn_engine)
   in
   let tick_autoscaler () =
     match scaler with
@@ -254,6 +248,7 @@ let run ?pool config ~make_node ~arrivals () =
        the node's cache about this request's (tenant, epoch, program)
        entry, so the locality policy follows tenants to their keys *)
     let entry = Key_cache.entry_of_request r in
+    let act = active () in
     let candidates =
       List.map
         (fun fn ->
@@ -263,49 +258,42 @@ let run ?pool config ~make_node ~arrivals () =
             cd_has_room = Engine.has_room fn.fn_engine;
             cd_warm = Key_cache.mem fn.fn_keys entry;
           })
-        (active ())
+        act
     in
-    match Router.pick router candidates with
-    | Some id ->
-      let fn = List.find (fun fn -> fn.fn_id = id) !nodes in
-      Engine.offer fn.fn_engine ~now_s:!now r
-    | None ->
-      (* global backpressure: typed fleet-level rejection, accounted at
-         the router so the merged report keeps every request terminal *)
-      Slo.observe_offered router_slo;
-      let err = Admission.Fleet_full { nodes = List.length candidates } in
-      Slo.observe_rejected router_slo err;
-      terminal { Response.req = r; outcome = Response.Rejected err }
+    let target =
+      match Router.pick router candidates with
+      | Some id -> List.find (fun fn -> fn.fn_id = id) act
+      | None -> (
+        (* no admitting node has room: the lowest-id one (node 0 once
+           none admits) rejects it with its own typed reason, so a
+           one-node fleet answers exactly like a single server *)
+        match act with fn :: _ -> fn | [] -> node0)
+    in
+    Engine.offer target.fn_engine ~now_s:!now r
   in
   let route (r : Request.t) =
-    match store, config.fc_tenancy with
-    | None, _ | _, None -> place r
-    | Some st, Some tn -> (
-      (* tenant admission: provision on first sight, lease the current
-         epoch, stamp the request with it.  In-flight work keeps its
-         stamped epoch through any rotation that starts later. *)
-      let leased =
-        match Store.lease st r.Request.req_tenant with
-        | Error (Store.Unknown_tenant _) -> (
-          match Store.provision st r.Request.req_tenant ~now_s:!now with
-          | Ok _ -> Store.lease st r.Request.req_tenant
-          | Error e -> Error e)
-        | x -> x
+    (* tenant admission: provision on first sight, lease the current
+       epoch, stamp the request with it.  In-flight work keeps its
+       stamped epoch through any rotation that starts later. *)
+    let leased =
+      match Store.lease store r.Request.req_tenant with
+      | Error (Store.Unknown_tenant _) -> (
+        match Store.provision store r.Request.req_tenant ~now_s:!now with
+        | Ok _ -> Store.lease store r.Request.req_tenant
+        | Error e -> Error e)
+      | x -> x
+    in
+    match leased with
+    | Error e ->
+      (* typed tenant-level rejection, accounted at the router *)
+      Slo.observe_offered router_slo;
+      let err =
+        Admission.Tenant_unavailable
+          { tenant = r.Request.req_tenant; reason = Store.error_to_string e }
       in
-      match leased with
-      | Error e ->
-        (* typed tenant-level rejection, accounted at the router *)
-        Slo.observe_offered router_slo;
-        let err =
-          Admission.Tenant_unavailable
-            { tenant = r.Request.req_tenant; reason = Store.error_to_string e }
-        in
-        Slo.observe_rejected router_slo err;
-        terminal { Response.req = r; outcome = Response.Rejected err }
-      | Ok ks ->
-        upload_sym := !upload_sym +. Float.of_int tn.tn_upload.Transcipher.up_sym_bytes;
-        upload_ckks := !upload_ckks +. Float.of_int tn.tn_upload.Transcipher.up_ckks_bytes;
-        place (Request.with_epoch r (Key_set.epoch ks)))
+      Slo.observe_rejected router_slo err;
+      terminal { Response.req = r; outcome = Response.Rejected err }
+    | Ok ks -> place (Request.with_epoch r (Key_set.epoch ks))
   in
   let rec admit_due () =
     match !pending with
@@ -336,30 +324,19 @@ let run ?pool config ~make_node ~arrivals () =
         List.map
           (fun (fn, b) ->
             let head = List.hd b.Batcher.requests in
-            let entry = Key_cache.entry_of_request head in
-            let penalty_s =
-              match (store, config.fc_tenancy) with
-              | Some st, Some tn ->
-                let bytes =
-                  match
-                    Store.key_set_for st head.Request.req_tenant head.Request.req_epoch
-                  with
-                  | Ok ks -> Key_set.bytes ks
-                  | Error _ -> 0 (* unreachable: the lease pins the epoch *)
-                in
-                let warm = Key_cache.touch fn.fn_keys entry ~bytes in
-                let load =
-                  if warm then 0.0 else tn.tn_key_load_s_per_gb *. Float.of_int bytes /. 1e9
-                in
-                let ingress = tn.tn_transcipher_s *. Float.of_int (Batcher.size b) in
-                key_penalty_s := !key_penalty_s +. load;
-                transcipher_s := !transcipher_s +. ingress;
-                load +. ingress
-              | _ ->
-                let warm = Key_cache.touch fn.fn_keys entry ~bytes:1 in
-                if warm then 0.0 else config.fc_key_load_s
+            let bytes =
+              match Store.key_set_for store head.Request.req_tenant head.Request.req_epoch with
+              | Ok ks -> Key_set.bytes ks
+              | Error _ -> 0 (* unreachable: the lease pins the epoch *)
             in
-            (fn, b, penalty_s))
+            let warm = Key_cache.touch fn.fn_keys (Key_cache.entry_of_request head) ~bytes in
+            let load =
+              if warm then 0.0 else tn.tn_key_load_s_per_gb *. Float.of_int bytes /. 1e9
+            in
+            let ingress = tn.tn_transcipher_s *. Float.of_int (Batcher.size b) in
+            key_penalty_s := !key_penalty_s +. load;
+            transcipher_s := !transcipher_s +. ingress;
+            (fn, b, load +. ingress))
           pairs
       in
       let exec (fn, b, _) = Engine.execute fn.fn_engine ~now_s:t_dispatch b in
@@ -376,7 +353,9 @@ let run ?pool config ~make_node ~arrivals () =
   in
   let reap_drained () =
     let drained, rest =
-      List.partition (fun fn -> fn.fn_draining && Engine.is_drained fn.fn_engine) !nodes
+      List.partition
+        (fun fn -> Engine.is_closed fn.fn_engine && Engine.is_drained fn.fn_engine)
+        !nodes
     in
     if drained <> [] then begin
       retired := !retired @ drained;
@@ -384,17 +363,15 @@ let run ?pool config ~make_node ~arrivals () =
     end
   in
   let tick_store () =
-    Option.iter
-      (fun st ->
-        let evs = Store.tick st ~now_s:!now in
-        if evs <> [] then store_events := List.rev_append evs !store_events)
-      store
+    let evs = Store.tick store ~now_s:!now in
+    if evs <> [] then store_events := List.rev_append evs !store_events
   in
   let rec loop () =
     tick_autoscaler ();
     (* rotations due at-or-before [now] start (or, drained, complete)
        before this instant's arrivals lease their epochs *)
     tick_store ();
+    List.iter (fun fn -> Engine.maybe_close fn.fn_engine ~now_s:!now) !nodes;
     admit_due ();
     List.iter (fun fn -> Engine.shed_expired fn.fn_engine ~now_s:!now) !nodes;
     List.iter (fun fn -> Engine.observe_depth fn.fn_engine) (active ());
@@ -423,38 +400,27 @@ let run ?pool config ~make_node ~arrivals () =
   in
   loop ();
   let everyone = !retired @ !nodes in
-  let key_hits = List.fold_left (fun acc fn -> acc + Key_cache.hits fn.fn_keys) 0 everyone
-  and key_misses = List.fold_left (fun acc fn -> acc + Key_cache.misses fn.fn_keys) 0 everyone in
+  let sum f = List.fold_left (fun acc fn -> acc + f fn.fn_keys) 0 everyone in
   {
     fr_slo = Slo.merge (router_slo :: List.map (fun fn -> Engine.slo fn.fn_engine) everyone);
     fr_makespan_s = !now;
     fr_router = Router.decisions router;
-    fr_key_hits = key_hits;
-    fr_key_misses = key_misses;
+    fr_key_hits = sum Key_cache.hits;
+    fr_key_misses = sum Key_cache.misses;
     fr_events = (match scaler with None -> [] | Some sc -> Autoscaler.events sc);
     fr_nodes_peak = !nodes_peak;
     fr_nodes_final = List.length (active ());
     fr_responses = List.rev !responses;
     fr_tenants =
-      Option.map
-        (fun st ->
-          let loaded =
-            List.fold_left (fun acc fn -> acc + Key_cache.loaded_bytes fn.fn_keys) 0 everyone
-          in
-          let cold =
-            Hashtbl.fold (fun tid ms acc -> (tid, ms) :: acc) cold_start []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
-          in
-          {
-            tr_store = Store.stats st;
-            tr_key_penalty_s = !key_penalty_s;
-            tr_transcipher_s = !transcipher_s;
-            tr_base_service_s = !base_service_s;
-            tr_key_bytes_loaded = loaded;
-            tr_upload_sym_bytes = !upload_sym;
-            tr_upload_ckks_bytes = !upload_ckks;
-            tr_cold_start_ms = cold;
-            tr_events = List.rev !store_events;
-          })
-        store;
+      {
+        tr_store = Store.stats store;
+        tr_key_penalty_s = !key_penalty_s;
+        tr_transcipher_s = !transcipher_s;
+        tr_base_service_s = !base_service_s;
+        tr_key_bytes_loaded = sum Key_cache.loaded_bytes;
+        tr_cold_start_ms =
+          Hashtbl.fold (fun tid ms acc -> (tid, ms) :: acc) cold_start []
+          |> List.sort (fun (a, _) (b, _) -> compare a b);
+        tr_events = List.rev !store_events;
+      };
   }

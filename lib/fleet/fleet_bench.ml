@@ -19,8 +19,10 @@
    offered rate sized for half the sweep's largest fleet, and reports
    the scaling events (time, direction, node count, reason).
 
-   Results merge into BENCH_cinnamon.json under ["serve_fleet"],
-   preserving every other key in the file. *)
+   Single-tenant: every request runs as the default tenant
+   (Fleet.single_tenant), each node holding [fb_key_slots] key sets.
+   Results merge into BENCH_cinnamon.json under ["serve_fleet"]
+   (Scenario.merge_section). *)
 
 module CC = Cinnamon_compiler.Compile_config
 module Error = Cinnamon_util.Error
@@ -28,19 +30,18 @@ module Json = Cinnamon_util.Json
 module Exec = Cinnamon_exec
 module Node = Cinnamon_serve.Node
 module Slo = Cinnamon_serve.Slo
-module Loadgen = Cinnamon_serve.Loadgen
 
 type config = {
   fb_nodes : int list; (* fleet sizes to sweep, ascending *)
   fb_policies : Router.policy list;
   fb_shapes : [ `Poisson | `Diurnal ] list;
   fb_requests : int; (* per sweep point *)
-  fb_mix : Loadgen.class_spec list;
+  fb_mix : Scenario.class_spec list;
   fb_seed : int;
   fb_overload : float; (* offered load as a multiple of fleet capacity *)
   fb_deadline_factor : float;
   fb_capacity : Node.capacity;
-  fb_key_slots : int;
+  fb_key_slots : int; (* per-node key budget, in key sets *)
   fb_key_load_factor : float; (* key-load penalty = factor x mean service *)
   fb_autoscale : bool;
   fb_compile : CC.t;
@@ -52,11 +53,11 @@ type config = {
    to win on with single-slot key caches. *)
 let standard_mix =
   [
-    { Loadgen.cls_bench = "bootstrap"; cls_system = "cinnamon-4"; cls_weight = 0.5 };
-    { Loadgen.cls_bench = "resnet"; cls_system = "cinnamon-4"; cls_weight = 0.2 };
-    { Loadgen.cls_bench = "helr"; cls_system = "cinnamon-4"; cls_weight = 0.15 };
-    { Loadgen.cls_bench = "bert"; cls_system = "cinnamon-4"; cls_weight = 0.1 };
-    { Loadgen.cls_bench = "bootstrap-21"; cls_system = "cinnamon-4"; cls_weight = 0.05 };
+    { Scenario.cls_bench = "bootstrap"; cls_system = "cinnamon-4"; cls_weight = 0.5 };
+    { Scenario.cls_bench = "resnet"; cls_system = "cinnamon-4"; cls_weight = 0.2 };
+    { Scenario.cls_bench = "helr"; cls_system = "cinnamon-4"; cls_weight = 0.15 };
+    { Scenario.cls_bench = "bert"; cls_system = "cinnamon-4"; cls_weight = 0.1 };
+    { Scenario.cls_bench = "bootstrap-21"; cls_system = "cinnamon-4"; cls_weight = 0.05 };
   ]
 
 let quick =
@@ -117,13 +118,6 @@ let shape_of_kind ~rate ~requests = function
 
 let kind_name = function `Poisson -> "poisson" | `Diurnal -> "diurnal"
 
-let report_of ~fleet_result ~stats0 ~stats1 =
-  let open Exec.Result_cache in
-  Slo.report fleet_result.Fleet.fr_slo
-    ~duration_s:(Float.max fleet_result.Fleet.fr_makespan_s 1e-9)
-    ~compiles:(stats1.misses - stats0.misses)
-    ~cache_hits:(stats1.hits + stats1.disk_hits - stats0.hits - stats0.disk_hits)
-
 let run cfg =
   if cfg.fb_nodes = [] then Error.fail Error.Invalid_input "Fleet_bench: fb_nodes must be non-empty";
   List.iter
@@ -133,22 +127,32 @@ let run cfg =
   if cfg.fb_overload <= 0.0 then Error.fail Error.Invalid_input "Fleet_bench: overload must be > 0";
   if cfg.fb_key_load_factor < 0.0 then
     Error.fail Error.Invalid_input "Fleet_bench: key_load_factor must be >= 0";
-  let pool = Exec.Pool.create ~jobs:cfg.fb_jobs () in
-  Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
-  let calibrated = Loadgen.calibrate ~pool ~compile:cfg.fb_compile cfg.fb_mix in
-  let total_weight =
-    List.fold_left (fun acc (c, _) -> acc +. c.Loadgen.cls_weight) 0.0 calibrated
+  Scenario.with_pool ~jobs:cfg.fb_jobs @@ fun pool ->
+  let calibrated = Scenario.calibrate ~pool ~compile:cfg.fb_compile cfg.fb_mix in
+  let mean_service = Scenario.mean_service calibrated in
+  let tenancy =
+    Fleet.single_tenant ~key_slots:cfg.fb_key_slots
+      ~key_load_s:(cfg.fb_key_load_factor *. mean_service)
+      cfg.fb_compile
   in
-  let mean_service =
-    List.fold_left (fun acc (c, s) -> acc +. (c.Loadgen.cls_weight /. total_weight *. s)) 0.0 calibrated
-  in
-  let key_load_s = cfg.fb_key_load_factor *. mean_service in
   let rate_for nodes =
     cfg.fb_overload *. Float.of_int (nodes * cfg.fb_capacity.Node.workers) /. mean_service
   in
-  let make_node id =
-    Node.make ~name:(Printf.sprintf "node%d" id) ~capacity:cfg.fb_capacity
-      ~execute:Loadgen.workload_executor ()
+  let make_node = Scenario.make_node ~capacity:cfg.fb_capacity in
+  let run_fleet ~nodes ~policy ~autoscale arrivals =
+    let stats0 = Exec.Result_cache.stats () in
+    let fr =
+      Fleet.run ~pool
+        {
+          Fleet.fc_nodes = nodes;
+          fc_policy = policy;
+          fc_autoscale = autoscale;
+          fc_collect_responses = false;
+          fc_tenancy = tenancy;
+        }
+        ~make_node ~arrivals ()
+    in
+    (fr, Scenario.report ~since:stats0 fr)
   in
   let shape_idx k = match k with `Poisson -> 1 | `Diurnal -> 2 in
   let trace_for kind nodes =
@@ -165,22 +169,10 @@ let run cfg =
     }
   in
   let run_point policy kind nodes =
-    let arrivals = Trace.generate (trace_for kind nodes) ~classes:calibrated in
-    let fleet_cfg =
-      {
-        Fleet.fc_nodes = nodes;
-        fc_policy = policy;
-        fc_key_slots = cfg.fb_key_slots;
-        fc_key_load_s = key_load_s;
-        fc_autoscale = None;
-        fc_collect_responses = false;
-        fc_tenancy = None;
-      }
+    let fr, report =
+      run_fleet ~nodes ~policy ~autoscale:None
+        (Trace.generate (trace_for kind nodes) ~classes:calibrated)
     in
-    let stats0 = Exec.Result_cache.stats () in
-    let fr = Fleet.run ~pool fleet_cfg ~make_node ~arrivals () in
-    let stats1 = Exec.Result_cache.stats () in
-    let report = report_of ~fleet_result:fr ~stats0 ~stats1 in
     {
       pt_policy = Router.policy_name policy;
       pt_shape = kind_name kind;
@@ -221,25 +213,14 @@ let run cfg =
           (* offered load sized for half the largest fleet, starting
              from one node: the scaler has to grow to keep up *)
           let target = max 1 (max_nodes / 2) in
-          let arrivals = Trace.generate (trace_for kind target) ~classes:calibrated in
-          let fleet_cfg =
-            {
-              Fleet.fc_nodes = 1;
-              fc_policy = Router.Least_loaded;
-              fc_key_slots = cfg.fb_key_slots;
-              fc_key_load_s = key_load_s;
-              fc_autoscale =
-                Some { Autoscaler.default with as_min_nodes = 1; as_max_nodes = max_nodes };
-              fc_collect_responses = false;
-              fc_tenancy = None;
-            }
+          let fr, report =
+            run_fleet ~nodes:1 ~policy:Router.Least_loaded
+              ~autoscale:(Some { Autoscaler.default with as_min_nodes = 1; as_max_nodes = max_nodes })
+              (Trace.generate (trace_for kind target) ~classes:calibrated)
           in
-          let stats0 = Exec.Result_cache.stats () in
-          let fr = Fleet.run ~pool fleet_cfg ~make_node ~arrivals () in
-          let stats1 = Exec.Result_cache.stats () in
           {
             sd_shape = kind_name kind;
-            sd_report = report_of ~fleet_result:fr ~stats0 ~stats1;
+            sd_report = report;
             sd_events = fr.Fleet.fr_events;
             sd_nodes_peak = fr.Fleet.fr_nodes_peak;
             sd_nodes_final = fr.Fleet.fr_nodes_final;
@@ -249,10 +230,7 @@ let run cfg =
   {
     fbr_points = points;
     fbr_demos = demos;
-    fbr_base_service =
-      List.map
-        (fun (c, s) -> (Printf.sprintf "%s@%s" c.Loadgen.cls_bench c.Loadgen.cls_system, s))
-      calibrated;
+    fbr_base_service = Scenario.base_service calibrated;
     fbr_requests = cfg.fb_requests;
     fbr_jobs = cfg.fb_jobs;
   }
@@ -332,7 +310,7 @@ let print_result r =
         p.pt_report.Slo.rp_goodput_rps
         (fmt_opt_ms p.pt_report.Slo.rp_p99_ms)
         p.pt_efficiency (100.0 *. p.pt_key_hit_rate)
-        (p.pt_report.Slo.rp_rejected_full + p.pt_report.Slo.rp_rejected_fleet))
+        p.pt_report.Slo.rp_rejected_full)
     r.fbr_points;
   List.iter
     (fun d ->
@@ -345,33 +323,3 @@ let print_result r =
             e.Autoscaler.ev_nodes_before e.Autoscaler.ev_nodes_after e.Autoscaler.ev_reason)
         d.sd_events)
     r.fbr_demos
-
-(* Merge this run's result into BENCH_cinnamon.json under
-   ["serve_fleet"], preserving every other key in the file (the bench
-   harness owns the rest of the schema). *)
-let write_section ~file r =
-  let existing =
-    if Sys.file_exists file then
-      try
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        match Json.of_string s with Ok (Json.Obj kvs) -> kvs | _ -> []
-      with _ -> []
-    else []
-  in
-  let existing =
-    if List.mem_assoc "schema" existing then existing
-    else ("schema", Json.Str "cinnamon-bench-v1") :: existing
-  in
-  let merged = ("serve_fleet", result_json r) :: List.remove_assoc "serve_fleet" existing in
-  let merged =
-    match List.assoc_opt "schema" merged with
-    | Some s -> ("schema", s) :: List.remove_assoc "schema" merged
-    | None -> merged
-  in
-  let oc = open_out file in
-  output_string oc (Json.to_string (Json.Obj merged));
-  output_char oc '\n';
-  close_out oc

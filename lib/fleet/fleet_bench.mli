@@ -14,12 +14,12 @@ type config = {
   fb_policies : Router.policy list;
   fb_shapes : [ `Poisson | `Diurnal ] list;
   fb_requests : int;  (** per sweep point *)
-  fb_mix : Cinnamon_serve.Loadgen.class_spec list;
+  fb_mix : Scenario.class_spec list;
   fb_seed : int;
   fb_overload : float;  (** offered load / fleet capacity *)
   fb_deadline_factor : float;
   fb_capacity : Cinnamon_serve.Node.capacity;
-  fb_key_slots : int;
+  fb_key_slots : int;  (** per-node key budget, in key sets *)
   fb_key_load_factor : float;  (** key-load penalty = factor x mean service *)
   fb_autoscale : bool;
   fb_compile : Cinnamon_compiler.Compile_config.t;
@@ -28,7 +28,7 @@ type config = {
 
 (** Skewed five-benchmark mix — distinct compatibility keys give
     locality routing something to win on. *)
-val standard_mix : Cinnamon_serve.Loadgen.class_spec list
+val standard_mix : Scenario.class_spec list
 
 (** 600 requests over fleets of 1/2/4 nodes, all policies, both trace
     shapes, autoscaler demo on — seconds of wall clock. *)
@@ -72,5 +72,3 @@ val run : config -> result
 val result_json : result -> Cinnamon_util.Json.t
 val print_result : result -> unit
 
-(** Merge into [file] under ["serve_fleet"], preserving other keys. *)
-val write_section : file:string -> result -> unit

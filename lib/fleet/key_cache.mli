@@ -15,17 +15,12 @@ type entry = {
     stamped epoch, and its batch compatibility key. *)
 val entry_of_request : Cinnamon_serve.Request.t -> entry
 
-val entry_equal : entry -> entry -> bool
 val entry_to_string : entry -> string
 
 type t
 
 (** Raises [Invalid_argument] if [capacity_bytes < 1]. *)
 val create : capacity_bytes:int -> t
-
-(** Legacy unit-weight mode: [slots] one-byte entries — the original
-    slot-counted MRU semantics.  Raises if [slots < 1]. *)
-val create_slots : slots:int -> t
 
 (** Residency peek for routing: no promotion, no counters. *)
 val mem : t -> entry -> bool

@@ -61,7 +61,6 @@ let create policy =
     d_fleet_full = 0;
   }
 
-let policy t = t.rt_policy
 
 let least_loaded cands =
   List.fold_left

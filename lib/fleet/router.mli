@@ -30,7 +30,6 @@ type candidate = {
 type t
 
 val create : policy -> t
-val policy : t -> policy
 
 (** Pick a node id from candidates (given in node-id order); [None]
     means every node is at capacity.  Counts the decision. *)

@@ -17,8 +17,8 @@
    period is the estimated trace duration / [tb_rotation_periods], so
    rotations start, drain and complete while requests are in flight.
 
-   Results merge into BENCH_cinnamon.json under ["tenant_serving"],
-   preserving every other key in the file. *)
+   Results merge into BENCH_cinnamon.json under ["tenant_serving"]
+   (Scenario.merge_section). *)
 
 module CC = Cinnamon_compiler.Compile_config
 module Error = Cinnamon_util.Error
@@ -26,18 +26,15 @@ module Json = Cinnamon_util.Json
 module Exec = Cinnamon_exec
 module Node = Cinnamon_serve.Node
 module Slo = Cinnamon_serve.Slo
-module Loadgen = Cinnamon_serve.Loadgen
 module Store = Cinnamon_tenant.Store
 module Key_set = Cinnamon_tenant.Key_set
-module Tenant_id = Cinnamon_tenant.Tenant_id
-module Epoch = Cinnamon_tenant.Epoch
 module Transcipher = Cinnamon_tenant.Transcipher
 
 type config = {
   tb_nodes : int;
   tb_tenants : int; (* >= 2; population behind the zipf curve *)
   tb_requests : int;
-  tb_mix : Loadgen.class_spec list;
+  tb_mix : Scenario.class_spec list;
   tb_seed : int;
   tb_overload : float; (* offered load as a multiple of fleet capacity *)
   tb_deadline_factor : float;
@@ -57,9 +54,9 @@ type config = {
    what stresses the key caches. *)
 let standard_mix =
   [
-    { Loadgen.cls_bench = "bootstrap"; cls_system = "cinnamon-4"; cls_weight = 0.5 };
-    { Loadgen.cls_bench = "resnet"; cls_system = "cinnamon-4"; cls_weight = 0.3 };
-    { Loadgen.cls_bench = "helr"; cls_system = "cinnamon-4"; cls_weight = 0.2 };
+    { Scenario.cls_bench = "bootstrap"; cls_system = "cinnamon-4"; cls_weight = 0.5 };
+    { Scenario.cls_bench = "resnet"; cls_system = "cinnamon-4"; cls_weight = 0.3 };
+    { Scenario.cls_bench = "helr"; cls_system = "cinnamon-4"; cls_weight = 0.2 };
   ]
 
 let quick =
@@ -112,22 +109,6 @@ type result = {
   tbr_locality_gain : float; (* locality hit rate - round_robin hit rate *)
 }
 
-let percentile_ms q = function
-  | [] -> 0.0
-  | xs ->
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    let n = Array.length a in
-    let idx = int_of_float (Float.ceil (q *. Float.of_int n)) - 1 in
-    a.(max 0 (min (n - 1) idx))
-
-let report_of ~fleet_result ~stats0 ~stats1 =
-  let open Exec.Result_cache in
-  Slo.report fleet_result.Fleet.fr_slo
-    ~duration_s:(Float.max fleet_result.Fleet.fr_makespan_s 1e-9)
-    ~compiles:(stats1.misses - stats0.misses)
-    ~cache_hits:(stats1.hits + stats1.disk_hits - stats0.hits - stats0.disk_hits)
-
 let run cfg =
   if cfg.tb_nodes < 1 then Error.fail Error.Invalid_input "Tenant_bench: nodes must be >= 1";
   if cfg.tb_tenants < 2 then Error.fail Error.Invalid_input "Tenant_bench: tenants must be >= 2";
@@ -139,58 +120,46 @@ let run cfg =
     Error.fail Error.Invalid_input "Tenant_bench: key_load_factor must be >= 0";
   if cfg.tb_rotation_periods <= 0.0 then
     Error.fail Error.Invalid_input "Tenant_bench: rotation_periods must be > 0";
-  let pool = Exec.Pool.create ~jobs:cfg.tb_jobs () in
-  Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
-  let calibrated = Loadgen.calibrate ~pool ~compile:cfg.tb_compile cfg.tb_mix in
+  Scenario.with_pool ~jobs:cfg.tb_jobs @@ fun pool ->
+  let calibrated = Scenario.calibrate ~pool ~compile:cfg.tb_compile cfg.tb_mix in
   (* the ingress price IS the conversion circuit: calibrate the real
      compiled K_transcipher workload like any serving class *)
   let transcipher_s =
     let sys =
       match cfg.tb_mix with
-      | c :: _ -> c.Loadgen.cls_system
+      | c :: _ -> c.Scenario.cls_system
       | [] -> Error.fail Error.Invalid_input "Tenant_bench: mix must be non-empty"
     in
     match
-      Loadgen.calibrate ~pool ~compile:cfg.tb_compile
-        [ { Loadgen.cls_bench = "transcipher"; cls_system = sys; cls_weight = 1.0 } ]
+      Scenario.calibrate ~pool ~compile:cfg.tb_compile
+        [ { Scenario.cls_bench = "transcipher"; cls_system = sys; cls_weight = 1.0 } ]
     with
     | [ (_, s) ] -> s
     | _ -> assert false
   in
-  let total_weight =
-    List.fold_left (fun acc (c, _) -> acc +. c.Loadgen.cls_weight) 0.0 calibrated
-  in
-  let mean_service =
-    List.fold_left
-      (fun acc (c, s) -> acc +. (c.Loadgen.cls_weight /. total_weight *. s))
-      0.0 calibrated
-  in
+  let mean_service = Scenario.mean_service calibrated in
   let rate =
     cfg.tb_overload *. Float.of_int (cfg.tb_nodes * cfg.tb_capacity.Node.workers) /. mean_service
   in
   let duration_est = Float.of_int cfg.tb_requests /. rate in
   let rotation_period_s = duration_est /. cfg.tb_rotation_periods in
-  let profile = Key_set.profile_of_config cfg.tb_compile in
-  let set_bytes =
-    Key_set.bytes
-      (Key_set.make profile ~tenant:Tenant_id.default ~epoch:Epoch.zero
-         ~rotations:cfg.tb_rotations ~conjugation:cfg.tb_conjugation)
+  let store =
+    {
+      Store.sc_profile = Key_set.profile_of_config cfg.tb_compile;
+      sc_rotations = cfg.tb_rotations;
+      sc_conjugation = cfg.tb_conjugation;
+      sc_rotation_period_s = rotation_period_s;
+    }
   in
+  let set_bytes = Store.key_set_bytes store in
   let set_gb = Float.of_int set_bytes /. 1e9 in
   let tenancy =
     {
-      Fleet.tn_store =
-        {
-          Store.sc_profile = profile;
-          sc_rotations = cfg.tb_rotations;
-          sc_conjugation = cfg.tb_conjugation;
-          sc_rotation_period_s = rotation_period_s;
-        };
+      Fleet.tn_store = store;
       tn_key_capacity_bytes =
         max 1 (int_of_float (cfg.tb_key_capacity_sets *. Float.of_int set_bytes));
       tn_key_load_s_per_gb = cfg.tb_key_load_factor *. mean_service /. set_gb;
       tn_transcipher_s = transcipher_s;
-      tn_upload = Transcipher.upload_of_config cfg.tb_compile;
     }
   in
   let arrivals =
@@ -206,32 +175,27 @@ let run cfg =
       }
       ~classes:calibrated
   in
-  let make_node id =
-    Node.make ~name:(Printf.sprintf "node%d" id) ~capacity:cfg.tb_capacity
-      ~execute:Loadgen.workload_executor ()
-  in
   let run_policy policy =
     let fleet_cfg =
       {
         Fleet.fc_nodes = cfg.tb_nodes;
         fc_policy = policy;
-        fc_key_slots = 1; (* unused: tenancy switches the caches to byte weighting *)
-        fc_key_load_s = 0.0;
         fc_autoscale = None;
         fc_collect_responses = false;
-        fc_tenancy = Some tenancy;
+        fc_tenancy = tenancy;
       }
     in
     let stats0 = Exec.Result_cache.stats () in
-    let fr = Fleet.run ~pool fleet_cfg ~make_node ~arrivals () in
-    let stats1 = Exec.Result_cache.stats () in
-    let tr = Option.get fr.Fleet.fr_tenants in
+    let fr =
+      Fleet.run ~pool fleet_cfg ~make_node:(Scenario.make_node ~capacity:cfg.tb_capacity) ~arrivals ()
+    in
+    let tr = fr.Fleet.fr_tenants in
     let total_charged =
       tr.Fleet.tr_base_service_s +. tr.Fleet.tr_key_penalty_s +. tr.Fleet.tr_transcipher_s
     in
     {
       tp_policy = Router.policy_name policy;
-      tp_report = report_of ~fleet_result:fr ~stats0 ~stats1;
+      tp_report = Scenario.report ~since:stats0 fr;
       tp_key_hit_rate = Fleet.key_hit_rate fr;
       tp_key_penalty_share =
         (if total_charged > 0.0 then tr.Fleet.tr_key_penalty_s /. total_charged else 0.0);
@@ -239,7 +203,10 @@ let run cfg =
         (if tr.Fleet.tr_base_service_s > 0.0 then
            100.0 *. tr.Fleet.tr_transcipher_s /. tr.Fleet.tr_base_service_s
          else 0.0);
-      tp_cold_p99_ms = percentile_ms 0.99 (List.map snd tr.Fleet.tr_cold_start_ms);
+      tp_cold_p99_ms =
+        (match tr.Fleet.tr_cold_start_ms with
+        | [] -> 0.0
+        | cold -> Cinnamon_util.Stats.percentile ~p:99.0 (List.map snd cold));
       tp_rotations_started = tr.Fleet.tr_store.Store.st_rotations_started;
       tp_rotations_completed = tr.Fleet.tr_store.Store.st_rotations_completed;
       tp_key_gb_loaded = Float.of_int tr.Fleet.tr_key_bytes_loaded /. 1e9;
@@ -261,7 +228,7 @@ let run cfg =
     tbr_rotation_period_s = rotation_period_s;
     tbr_transcipher_s = transcipher_s;
     tbr_key_set_gb = set_gb;
-    tbr_upload = tenancy.Fleet.tn_upload;
+    tbr_upload = Transcipher.upload_of_config cfg.tb_compile;
     tbr_locality_gain = hit "locality" -. hit "round_robin";
   }
 
@@ -322,32 +289,3 @@ let print_result r =
         p.tp_cold_p99_ms p.tp_rotations_started p.tp_rotations_completed p.tp_transcipher_pct)
     r.tbr_points;
   Printf.printf "locality hit-rate gain over round-robin: %+.1f%%\n" (100.0 *. r.tbr_locality_gain)
-
-(* Merge this run's result into BENCH_cinnamon.json under
-   ["tenant_serving"], preserving every other key in the file. *)
-let write_section ~file r =
-  let existing =
-    if Sys.file_exists file then
-      try
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        match Json.of_string s with Ok (Json.Obj kvs) -> kvs | _ -> []
-      with _ -> []
-    else []
-  in
-  let existing =
-    if List.mem_assoc "schema" existing then existing
-    else ("schema", Json.Str "cinnamon-bench-v1") :: existing
-  in
-  let merged = ("tenant_serving", result_json r) :: List.remove_assoc "tenant_serving" existing in
-  let merged =
-    match List.assoc_opt "schema" merged with
-    | Some s -> ("schema", s) :: List.remove_assoc "schema" merged
-    | None -> merged
-  in
-  let oc = open_out file in
-  output_string oc (Json.to_string (Json.Obj merged));
-  output_char oc '\n';
-  close_out oc

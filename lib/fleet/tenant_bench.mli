@@ -12,7 +12,7 @@ type config = {
   tb_nodes : int;
   tb_tenants : int;  (** >= 2; population behind the zipf curve *)
   tb_requests : int;
-  tb_mix : Cinnamon_serve.Loadgen.class_spec list;
+  tb_mix : Scenario.class_spec list;
   tb_seed : int;
   tb_overload : float;  (** offered load as a multiple of fleet capacity *)
   tb_deadline_factor : float;
@@ -31,7 +31,7 @@ type config = {
 }
 
 (** bootstrap/resnet/helr on cinnamon-4. *)
-val standard_mix : Cinnamon_serve.Loadgen.class_spec list
+val standard_mix : Scenario.class_spec list
 
 (** 64 tenants over 4 nodes, 600 requests — the CI preset. *)
 val quick : config
@@ -72,6 +72,3 @@ val run : config -> result
 
 val result_json : result -> Cinnamon_util.Json.t
 val print_result : result -> unit
-
-(** Merge into [file] under ["tenant_serving"], preserving other keys. *)
-val write_section : file:string -> result -> unit

@@ -18,7 +18,6 @@
 module Rng = Cinnamon_util.Rng
 module Error = Cinnamon_util.Error
 module Request = Cinnamon_serve.Request
-module Loadgen = Cinnamon_serve.Loadgen
 
 type shape =
   | Poisson of { rate_rps : float }
@@ -51,26 +50,26 @@ let validate cfg =
     if peak_rps < base_rps then Error.fail Error.Invalid_input "Trace: peak rate must be >= base";
     if period_s <= 0.0 then Error.fail Error.Invalid_input "Trace: period must be > 0"
 
+let pick_class rng classes =
+  let total_weight =
+    List.fold_left (fun acc ((c : Scenario.class_spec), _) -> acc +. c.Scenario.cls_weight) 0.0 classes
+  in
+  let u = Rng.float rng *. total_weight in
+  let rec go acc = function
+    | [] -> List.hd classes (* unreachable: weights sum to total *)
+    | ((c : Scenario.class_spec), s) :: rest ->
+      if acc +. c.Scenario.cls_weight >= u then (c, s) else go (acc +. c.Scenario.cls_weight) rest
+  in
+  go 0.0 classes
+
+let pick_priority rng =
+  let u = Rng.float rng in
+  if u < 0.1 then Request.High else if u < 0.9 then Request.Normal else Request.Low
+
 let generate cfg ~classes =
   validate cfg;
   if classes = [] then Error.fail Error.Invalid_input "Trace: class mix must be non-empty";
-  let total_weight =
-    List.fold_left (fun acc ((c : Loadgen.class_spec), _) -> acc +. c.Loadgen.cls_weight) 0.0 classes
-  in
   let rng = Rng.create ~seed:cfg.tr_seed in
-  let pick_class () =
-    let u = Rng.float rng *. total_weight in
-    let rec go acc = function
-      | [] -> List.hd classes (* unreachable: weights sum to total *)
-      | ((c : Loadgen.class_spec), s) :: rest ->
-        if acc +. c.Loadgen.cls_weight >= u then (c, s) else go (acc +. c.Loadgen.cls_weight) rest
-    in
-    go 0.0 classes
-  in
-  let pick_priority () =
-    let u = Rng.float rng in
-    if u < 0.1 then Request.High else if u < 0.9 then Request.Normal else Request.Low
-  in
   let exp_gap rate = -.log (1.0 -. Rng.float rng) /. rate in
   let next_arrival =
     match cfg.tr_shape with
@@ -110,13 +109,13 @@ let generate cfg ~classes =
   let t = ref 0.0 in
   List.init cfg.tr_requests (fun id ->
       let arrival_s = !t in
-      let cls, service_s = pick_class () in
+      let cls, service_s = pick_class rng classes in
       t := next_arrival !t;
       (* draw order (class, gap, priority, tenant) is part of the trace
          contract: the tenant draw comes last so single-tenant traces
          reproduce the pre-tenancy streams exactly *)
-      let priority = pick_priority () in
+      let priority = pick_priority rng in
       let tenant = pick_tenant () in
       Request.make ~config:cfg.tr_compile ~priority
         ~deadline_s:(arrival_s +. (cfg.tr_deadline_factor *. service_s))
-        ~tenant ~id ~bench:cls.Loadgen.cls_bench ~system:cls.Loadgen.cls_system ~arrival_s ())
+        ~tenant ~id ~bench:cls.Scenario.cls_bench ~system:cls.Scenario.cls_system ~arrival_s ())

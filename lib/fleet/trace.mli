@@ -1,7 +1,7 @@
 (** Arrival-trace generation for fleet sweeps: stationary Poisson and
     a diurnal (non-homogeneous Poisson, thinned cosine wave) shape
     that gives the autoscaler load swings to follow.  Mix, priorities
-    and deadlines follow the {!Cinnamon_serve.Loadgen} conventions. *)
+    and deadlines follow the {!Loadgen} conventions. *)
 
 type shape =
   | Poisson of { rate_rps : float }
@@ -29,12 +29,20 @@ type config = {
     rates, factors or periods, or peak < base. *)
 val validate : config -> unit
 
+(** One class drawn weight-proportionally from the calibrated mix (one
+    [rng] draw). *)
+val pick_class :
+  Cinnamon_util.Rng.t -> (Scenario.class_spec * float) list -> Scenario.class_spec * float
+
+(** 10/80/10 High/Normal/Low (one [rng] draw). *)
+val pick_priority : Cinnamon_util.Rng.t -> Cinnamon_serve.Request.priority
+
 (** [generate cfg ~classes] draws [tr_requests] arrivals from the
     weight-proportional class mix, where [classes] pairs each spec
     with its calibrated base service seconds (see
-    {!Cinnamon_serve.Loadgen.calibrate}).  Deterministic in
+    {!Scenario.calibrate}).  Deterministic in
     [tr_seed]. *)
 val generate :
   config ->
-  classes:(Cinnamon_serve.Loadgen.class_spec * float) list ->
+  classes:(Scenario.class_spec * float) list ->
   Cinnamon_serve.Request.t list

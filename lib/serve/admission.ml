@@ -12,7 +12,6 @@ type error =
   | Queue_full of { capacity : int }
   | Expired of { deadline_s : float; now_s : float }
   | Closed
-  | Fleet_full of { nodes : int }
   | Tenant_unavailable of { tenant : Cinnamon_tenant.Tenant_id.t; reason : string }
 
 let error_to_string = function
@@ -20,8 +19,6 @@ let error_to_string = function
   | Expired { deadline_s; now_s } ->
     Printf.sprintf "deadline %.6fs already expired at admission (now %.6fs)" deadline_s now_s
   | Closed -> "server draining: admission closed"
-  | Fleet_full { nodes } ->
-    Printf.sprintf "fleet backpressure: all %d nodes at capacity" nodes
   | Tenant_unavailable { tenant; reason } ->
     Printf.sprintf "tenant %s unavailable: %s" (Cinnamon_tenant.Tenant_id.to_string tenant) reason
 

@@ -7,10 +7,7 @@ type error =
   | Queue_full of { capacity : int }  (** backpressure: queue at capacity *)
   | Expired of { deadline_s : float; now_s : float }
       (** the deadline had already passed on arrival *)
-  | Closed  (** the server is draining; no new admissions *)
-  | Fleet_full of { nodes : int }
-      (** global backpressure: a fleet router found every node at
-          capacity (never produced by a single queue's {!admit}) *)
+  | Closed  (** the node is draining; no new admissions *)
   | Tenant_unavailable of { tenant : Cinnamon_tenant.Tenant_id.t; reason : string }
       (** the tenant key store refused to lease keys for this request
           (retired tenant, destroyed epoch); produced by the fleet's

@@ -3,9 +3,9 @@
    ONE node, exposed as incremental steps on a caller-owned virtual
    clock.
 
-   Server.run drives a single engine to completion; Fleet.run drives N
-   of them from one loop, which is why this is step-at-a-time rather
-   than run-to-completion: at each virtual instant the fleet forms
+   Fleet.run drives N of them from one loop (a single server is a
+   one-node fleet), which is why this is step-at-a-time rather than
+   run-to-completion: at each virtual instant the fleet forms
    batches on every node ([form_batches]), fans ALL of them across one
    shared Exec.Pool ([execute] is pool-safe — it touches no engine
    state), then commits results back per node ([commit]).  Batch
@@ -61,11 +61,8 @@ let create ~node ~respond =
     free = node.Node.capacity.Node.workers;
   }
 
-let node t = t.node
-let name t = t.node.Node.name
 let slo t = t.slo
 let queue_depth t = Admission.depth t.q
-let free_workers t = t.free
 
 let inflight_requests t =
   List.fold_left (fun n e -> n + Batcher.size e.if_batch) 0 t.inflight

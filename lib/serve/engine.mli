@@ -3,10 +3,10 @@
 
     One engine owns one node's admission queue, batch formation,
     executor retries, simulated-worker occupancy, and SLO accumulator.
-    {!Server.run} drives a single engine to completion; the fleet
-    driver steps N of them from one loop, fanning every node's batches
-    across one shared pool at each virtual instant ({!execute} is
-    pool-safe).  Terminal responses stream through the [respond]
+    The fleet driver ([Cinnamon_fleet.Fleet.run]; a single server is
+    a one-node fleet) steps N of them from one loop, fanning every
+    node's batches across one shared pool at each virtual instant
+    ({!execute} is pool-safe).  Terminal responses stream through the [respond]
     callback — the engine retains none of them. *)
 
 (** Trace pid used for serving-layer telemetry rows. *)
@@ -22,11 +22,8 @@ type exec_outcome = (float * int, int * string) result
     it. *)
 val create : node:Node.t -> respond:(Response.t -> unit) -> t
 
-val node : t -> Node.t
-val name : t -> string
 val slo : t -> Slo.t
 val queue_depth : t -> int
-val free_workers : t -> int
 
 (** Requests in flight inside dispatched batches. *)
 val inflight_requests : t -> int

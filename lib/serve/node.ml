@@ -1,9 +1,7 @@
 (* A serving node as a first-class value: what it can do (execute a
    batch, react to terminal responses) and how much of it there is
-   (capacity).  This replaces the loose [~executor] / [?feedback]
-   labelled arguments Server.run used to take — the single-node server
-   and the fleet router now drive heterogeneous nodes through the same
-   typed record.
+   (capacity).  The fleet driver steps heterogeneous nodes through this
+   one typed record; a single server is a one-node fleet.
 
    [execute] is the node's real work: compile + cycle-simulate the
    batch's workload (usually through Exec.Result_cache) and return its
@@ -16,8 +14,7 @@
    [on_terminal] fires for every terminal response of a request this
    node owned and returns follow-up requests to inject — closed-loop
    clients use it to model think time.  The follow-ups go back to
-   whoever is routing (the single-node driver's pending list, or the
-   fleet router), not straight into this node's queue. *)
+   the fleet router, not straight into this node's queue. *)
 
 module Error = Cinnamon_util.Error
 

@@ -1,11 +1,10 @@
 (** A serving node as a first-class value.
 
     The typed record every scheduler-facing component implements:
-    {!Loadgen} wraps the real compile+simulate executor in one, tests
-    build synthetic ones, and the fleet router drives heterogeneous
-    nodes through this one interface.  It replaces the loose
-    [~executor] / [?feedback] labelled arguments [Server.run] used to
-    take. *)
+    the serving drivers wrap the real compile+simulate executor in
+    one, tests build synthetic ones, and the fleet driver
+    ([Cinnamon_fleet.Fleet.run]) drives heterogeneous nodes through
+    this one interface. *)
 
 (** Raised by {!t.execute} to signal a retryable failure; the
     scheduler re-runs the batch in place, up to

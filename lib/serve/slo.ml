@@ -9,7 +9,7 @@
    never to bare [nan] tokens.
 
    Fleet runs keep one accumulator per node (plus one at the router
-   for fleet-level rejections) and fold them with [merge]: counters
+   for tenant-store refusals) and fold them with [merge]: counters
    add, histograms add bucketwise, and the queue-depth gauge pools its
    samples — deterministic whatever order the nodes are listed in.
 
@@ -18,8 +18,8 @@
    - goodput    = deadline-met completions / duration (the paper-world
      serving metric: work delivered in time);
    - shed rate  = shed / admitted (admitted work the server gave up on);
-   - reject rate = rejected / offered (work refused at the door,
-     whether by one node's queue or by fleet-wide backpressure). *)
+   - reject rate = rejected / offered (work refused at the door, by a
+     node's queue or by the tenant key store). *)
 
 module H = Cinnamon_util.Stats.Histogram
 module Json = Cinnamon_util.Json
@@ -31,7 +31,6 @@ type t = {
   mutable rejected_full : int;
   mutable rejected_expired : int;
   mutable rejected_closed : int;
-  mutable rejected_fleet : int;
   mutable rejected_tenant : int;
   mutable shed : int;
   mutable failed : int;
@@ -54,7 +53,6 @@ let create () =
     rejected_full = 0;
     rejected_expired = 0;
     rejected_closed = 0;
-    rejected_fleet = 0;
     rejected_tenant = 0;
     shed = 0;
     failed = 0;
@@ -76,7 +74,6 @@ let observe_rejected t (e : Admission.error) =
   | Admission.Queue_full _ -> t.rejected_full <- t.rejected_full + 1
   | Admission.Expired _ -> t.rejected_expired <- t.rejected_expired + 1
   | Admission.Closed -> t.rejected_closed <- t.rejected_closed + 1
-  | Admission.Fleet_full _ -> t.rejected_fleet <- t.rejected_fleet + 1
   | Admission.Tenant_unavailable _ -> t.rejected_tenant <- t.rejected_tenant + 1
 
 let observe_shed t = t.shed <- t.shed + 1
@@ -98,10 +95,8 @@ let observe_queue_depth t d =
   t.depth_samples <- t.depth_samples + 1;
   if d > t.depth_max then t.depth_max <- d
 
-(* Live gauges the autoscaler reads mid-run (the report below is
+(* The live gauge the autoscaler reads mid-run (the report below is
    end-of-run only). *)
-let completed t = t.completed
-let deadline_met t = t.deadline_met
 let live_p99_ms t = if t.completed = 0 then None else Some (H.quantile t.hist 0.99 *. 1e3)
 
 let merge ts =
@@ -114,7 +109,6 @@ let merge ts =
       acc.rejected_full <- acc.rejected_full + s.rejected_full;
       acc.rejected_expired <- acc.rejected_expired + s.rejected_expired;
       acc.rejected_closed <- acc.rejected_closed + s.rejected_closed;
-      acc.rejected_fleet <- acc.rejected_fleet + s.rejected_fleet;
       acc.rejected_tenant <- acc.rejected_tenant + s.rejected_tenant;
       acc.shed <- acc.shed + s.shed;
       acc.failed <- acc.failed + s.failed;
@@ -135,7 +129,6 @@ type report = {
   rp_rejected_full : int;
   rp_rejected_expired : int;
   rp_rejected_closed : int;
-  rp_rejected_fleet : int;
   rp_rejected_tenant : int;
   rp_shed : int;
   rp_failed : int;
@@ -171,7 +164,6 @@ let report t ~duration_s ~compiles ~cache_hits =
     rp_rejected_full = t.rejected_full;
     rp_rejected_expired = t.rejected_expired;
     rp_rejected_closed = t.rejected_closed;
-    rp_rejected_fleet = t.rejected_fleet;
     rp_rejected_tenant = t.rejected_tenant;
     rp_shed = t.shed;
     rp_failed = t.failed;
@@ -190,8 +182,7 @@ let report t ~duration_s ~compiles ~cache_hits =
     rp_shed_rate = ratio t.shed t.admitted;
     rp_reject_rate =
       ratio
-        (t.rejected_full + t.rejected_expired + t.rejected_closed + t.rejected_fleet
-       + t.rejected_tenant)
+        (t.rejected_full + t.rejected_expired + t.rejected_closed + t.rejected_tenant)
         t.offered;
     rp_queue_depth_mean =
       (if t.depth_samples = 0 then 0.0 else ratio t.depth_sum t.depth_samples);
@@ -211,7 +202,6 @@ let report_json r =
       ("rejected_queue_full", Json.Int r.rp_rejected_full);
       ("rejected_expired", Json.Int r.rp_rejected_expired);
       ("rejected_closed", Json.Int r.rp_rejected_closed);
-      ("rejected_fleet_full", Json.Int r.rp_rejected_fleet);
       ("rejected_tenant", Json.Int r.rp_rejected_tenant);
       ("shed", Json.Int r.rp_shed);
       ("failed", Json.Int r.rp_failed);
@@ -244,10 +234,8 @@ let to_string r =
   line "requests: offered %d, admitted %d, completed %d (%d met deadline), shed %d, failed %d"
     r.rp_offered r.rp_admitted r.rp_completed r.rp_deadline_met r.rp_shed r.rp_failed;
   line
-    "rejected: %d queue-full, %d expired-on-arrival, %d during drain, %d fleet-full, %d \
-     tenant-unavailable"
-    r.rp_rejected_full r.rp_rejected_expired r.rp_rejected_closed r.rp_rejected_fleet
-    r.rp_rejected_tenant;
+    "rejected: %d queue-full, %d expired-on-arrival, %d during drain, %d tenant-unavailable"
+    r.rp_rejected_full r.rp_rejected_expired r.rp_rejected_closed r.rp_rejected_tenant;
   line "latency:  p50 %s, p95 %s, p99 %s, mean %s, max %s" (fmt_ms r.rp_p50_ms)
     (fmt_ms r.rp_p95_ms) (fmt_ms r.rp_p99_ms) (fmt_ms r.rp_mean_ms) (fmt_ms r.rp_max_ms);
   line "rates:    throughput %.2f req/s, goodput %.2f req/s, shed rate %.1f%%, reject rate %.1f%%"

@@ -1,6 +1,6 @@
 (** SLO accounting for the serving layer.
 
-    A streaming accumulator ({!t}) the server feeds as requests reach
+    A streaming accumulator ({!t}) each node's engine feeds as requests reach
     terminal states — latencies go into a fixed-bucket streaming
     histogram ({!Cinnamon_util.Stats.Histogram}), so memory stays
     O(buckets) — and a {!report} computed once the run ends.
@@ -32,19 +32,14 @@ val observe_retries : t -> int -> unit
 
 val observe_batch : t -> size:int -> unit
 
-(** Queue-depth gauge, sampled by the server at every event-loop step. *)
+(** Queue-depth gauge, sampled by the driver at every event-loop step. *)
 val observe_queue_depth : t -> int -> unit
 
-(** {1 Live gauges}
+(** {1 Live gauge}
 
-    Mid-run signals for the autoscaler; the full {!report} is
-    end-of-run only. *)
-
-val completed : t -> int
-val deadline_met : t -> int
-
-(** Streaming 99th-percentile latency over completions so far; [None]
-    until something completes. *)
+    Streaming 99th-percentile latency over completions so far, read
+    mid-run by the autoscaler (the full {!report} is end-of-run only);
+    [None] until something completes. *)
 val live_p99_ms : t -> float option
 
 (** Fold accumulators (per-node + router) into a fresh fleet-wide one:
@@ -60,7 +55,6 @@ type report = {
   rp_rejected_full : int;
   rp_rejected_expired : int;
   rp_rejected_closed : int;
-  rp_rejected_fleet : int;  (** router-level global backpressure *)
   rp_rejected_tenant : int;  (** tenant key store refused the lease *)
   rp_shed : int;
   rp_failed : int;

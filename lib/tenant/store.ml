@@ -57,6 +57,11 @@ type config = {
 let default_config profile =
   { sc_profile = profile; sc_rotations = []; sc_conjugation = false; sc_rotation_period_s = infinity }
 
+let key_set_bytes c =
+  Key_set.bytes
+    (Key_set.make c.sc_profile ~tenant:Tenant_id.default ~epoch:Epoch.zero
+       ~rotations:c.sc_rotations ~conjugation:c.sc_conjugation)
+
 type phase =
   | Active of Key_set.t
   | Rotating of { rt_old : Key_set.t; rt_next : Key_set.t; rt_started_s : float }

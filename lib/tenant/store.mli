@@ -34,6 +34,10 @@ type config = {
 (** No extra rotation keys, no conjugation, no automatic rotation. *)
 val default_config : Key_set.profile -> config
 
+(** Bytes of one key set under [config]: every tenant and epoch holds
+    the same keys, so this is the size of each. *)
+val key_set_bytes : config -> int
+
 type t
 
 type event = {

@@ -13,7 +13,7 @@ let cand ?(load = 0) ?(room = true) ?(warm = false) id =
   { Router.cd_id = id; cd_load = load; cd_has_room = room; cd_warm = warm }
 
 let spec bench w =
-  { Serve.Loadgen.cls_bench = bench; cls_system = "cinnamon-4"; cls_weight = w }
+  { Scenario.cls_bench = bench; cls_system = "cinnamon-4"; cls_weight = w }
 
 (* Heavily skewed three-benchmark mix: three distinct batch
    compatibility keys, one dominant — the shape where locality-aware
@@ -63,9 +63,9 @@ let test_key_cache_mru () =
   Alcotest.check_raises "capacity >= 1"
     (Invalid_argument "Key_cache.create: capacity_bytes must be >= 1") (fun () ->
       ignore (Key_cache.create ~capacity_bytes:0));
-  (* legacy slot mode: unit-weight entries reproduce the original
+  (* unit-weight entries: a two-byte budget holds two of them, the
      slot-counted MRU semantics *)
-  let c = Key_cache.create_slots ~slots:2 in
+  let c = Key_cache.create ~capacity_bytes:2 in
   Alcotest.(check bool) "peek cold" false (Key_cache.mem c (entry "a"));
   Alcotest.(check bool) "first touch misses" false (Key_cache.touch c (entry "a") ~bytes:1);
   Alcotest.(check bool) "peek did not count" true (Key_cache.misses c = 1);
@@ -313,8 +313,7 @@ let run_policy policy =
       Fleet.default_config with
       Fleet.fc_nodes = 4;
       fc_policy = policy;
-      fc_key_slots = 1;
-      fc_key_load_s = 0.25;
+      fc_tenancy = Fleet.single_tenant ~key_slots:1 ~key_load_s:0.25 (CC.paper ());
     }
   in
   Fleet.run cfg ~make_node:(const_node ~capacity:(capacity ()) ()) ~arrivals:(trace ~rate:8.0 ())
@@ -336,7 +335,8 @@ let test_locality_beats_round_robin () =
 
 let test_fleet_full_rejection () =
   (* one node, one worker, queue of one: a burst of six leaves five
-     with nowhere to go — typed fleet-level rejection, all accounted *)
+     with nowhere to go — the node's own typed queue-full rejection,
+     exactly what a single server answers, all accounted *)
   let cfg =
     {
       Fleet.default_config with
@@ -350,23 +350,23 @@ let test_fleet_full_rejection () =
   let r = Fleet.run cfg ~make_node ~arrivals () in
   let rp = report r in
   Alcotest.(check int) "offered" 6 rp.Serve.Slo.rp_offered;
-  Alcotest.(check int) "fleet-full rejections" 5 rp.Serve.Slo.rp_rejected_fleet;
+  Alcotest.(check int) "queue-full rejections" 5 rp.Serve.Slo.rp_rejected_full;
   Alcotest.(check int) "accounting identity holds" rp.Serve.Slo.rp_offered
     (rp.Serve.Slo.rp_completed + rp.Serve.Slo.rp_shed + rp.Serve.Slo.rp_failed
    + rp.Serve.Slo.rp_rejected_full + rp.Serve.Slo.rp_rejected_expired
-   + rp.Serve.Slo.rp_rejected_closed + rp.Serve.Slo.rp_rejected_fleet);
+   + rp.Serve.Slo.rp_rejected_closed + rp.Serve.Slo.rp_rejected_tenant);
   Alcotest.(check bool) "router counted the backpressure" true
     (List.assoc "fleet_full" r.Fleet.fr_router = 5);
   match
     List.find_map
       (fun (resp : Serve.Response.t) ->
         match resp.Serve.Response.outcome with
-        | Serve.Response.Rejected (Serve.Admission.Fleet_full { nodes }) -> Some nodes
+        | Serve.Response.Rejected (Serve.Admission.Queue_full { capacity }) -> Some capacity
         | _ -> None)
       r.Fleet.fr_responses
   with
-  | Some nodes -> Alcotest.(check int) "typed error carries fleet size" 1 nodes
-  | None -> Alcotest.fail "expected a Fleet_full response"
+  | Some capacity -> Alcotest.(check int) "typed error carries queue capacity" 1 capacity
+  | None -> Alcotest.fail "expected a Queue_full response"
 
 let test_scale_up_under_load () =
   let cfg =
@@ -436,8 +436,7 @@ let test_fleet_bit_identical_across_jobs () =
         Fleet.default_config with
         Fleet.fc_nodes = 3;
         fc_policy = Router.Locality;
-        fc_key_slots = 1;
-        fc_key_load_s = 0.25;
+        fc_tenancy = Fleet.single_tenant ~key_slots:1 ~key_load_s:0.25 (CC.paper ());
         fc_autoscale =
           Some
             {
@@ -474,6 +473,152 @@ let test_fleet_bit_identical_across_jobs () =
   Alcotest.(check int) "scaling events identical" (List.length a.Fleet.fr_events)
     (List.length b.Fleet.fr_events)
 
+let test_drain_deadline_closes_node () =
+  (* node 0 closes at its own drain deadline (2.5 s): the arrival at
+     2.4 s is admitted to node 0 and still runs, every later arrival
+     goes to node 1, and nothing is rejected or lost *)
+  let executed = Array.make 2 [] in
+  let make_node id =
+    Serve.Node.make
+      ~capacity:
+        {
+          (capacity ~workers:1 ~queue:16 ~max_batch:1 ()) with
+          Serve.Node.drain_after_s = (if id = 0 then Some 2.5 else None);
+        }
+      ~execute:(fun ~now_s:_ (b : Serve.Batcher.batch) ->
+        List.iter
+          (fun (r : Serve.Request.t) -> executed.(id) <- r.Serve.Request.req_id :: executed.(id))
+          b.Serve.Batcher.requests;
+        1.0)
+      ()
+  in
+  let arrivals =
+    List.init 6 (fun id -> mk_req ~id ~arrival_s:0.0)
+    @ [ mk_req ~id:6 ~arrival_s:2.4; mk_req ~id:7 ~arrival_s:2.5 ]
+    @ List.init 2 (fun i -> mk_req ~id:(8 + i) ~arrival_s:3.0)
+  in
+  let cfg = { Fleet.default_config with Fleet.fc_nodes = 2; fc_collect_responses = true } in
+  let r = Fleet.run cfg ~make_node ~arrivals () in
+  Alcotest.(check (list int)) "node 0 ran only what it admitted before 2.5 s" [ 0; 2; 4; 6 ]
+    (List.rev executed.(0));
+  Alcotest.(check (list int)) "later arrivals went to node 1" [ 1; 3; 5; 7; 8; 9 ]
+    (List.rev executed.(1));
+  Alcotest.(check int) "all complete" 10 (report r).Serve.Slo.rp_completed;
+  (match
+     List.find
+       (fun (resp : Serve.Response.t) -> resp.Serve.Response.req.Serve.Request.req_id = 6)
+       r.Fleet.fr_responses
+   with
+  | { Serve.Response.outcome = Serve.Response.Completed { finished_s; _ }; _ } ->
+    Alcotest.(check (float 1e-9)) "admitted work ran past the deadline" 4.0 finished_s
+  | resp ->
+    Alcotest.failf "expected request 6 to complete, got %s"
+      (Serve.Response.outcome_name resp.Serve.Response.outcome));
+  Alcotest.(check int) "node 0 no longer admits" 1 r.Fleet.fr_nodes_final
+
+(* --- property: random traces through the driver ----------------------- *)
+
+(* A random fleet scenario from [seed]: 1-4 nodes with random
+   capacities and optional drain deadlines, any router policy, a
+   deterministic executor that fails some batches (transient or
+   permanent, by batch id), deadlines, priorities, and closed-loop
+   follow-ups injected from terminal responses. *)
+let random_fleet_run ~pool seed =
+  let st = Random.State.make [| seed |] in
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let nodes = int 1 4 in
+  let policy = List.nth Router.all_policies (int 0 2) in
+  let caps =
+    Array.init nodes (fun _ ->
+        {
+          Serve.Node.workers = int 1 3;
+          queue_capacity = int 1 6;
+          max_batch = int 1 4;
+          max_attempts = int 1 3;
+          drain_after_s =
+            (if Random.State.int st 3 = 0 then Some (Random.State.float st 8.0) else None);
+        })
+  in
+  let fail_every = int 2 7 in
+  let follow_ups = Random.State.bool st in
+  let request ~id ~arrival_s =
+    Serve.Request.make
+      ~priority:(List.nth [ Serve.Request.High; Normal; Low ] (int 0 2))
+      ~deadline_s:
+        (if Random.State.bool st then infinity else arrival_s +. 0.2 +. Random.State.float st 3.0)
+      ~id ~bench:(if Random.State.bool st then "bootstrap" else "resnet") ~system:"cinnamon-4"
+      ~arrival_s ()
+  in
+  let initial = List.init (int 1 40) (fun id -> request ~id ~arrival_s:(Random.State.float st 10.0)) in
+  (* pure in the response, so the hook is safe however it is called *)
+  let on_terminal (resp : Serve.Response.t) =
+    let r = resp.Serve.Response.req in
+    if follow_ups && r.Serve.Request.req_id < 1000 && r.Serve.Request.req_id mod 2 = 0 then
+      [
+        Serve.Request.make ~id:(r.Serve.Request.req_id + 1000) ~bench:r.Serve.Request.req_bench
+          ~system:"cinnamon-4"
+          ~arrival_s:(Serve.Response.terminal_s resp +. 0.5)
+          ();
+      ]
+    else []
+  in
+  let execute ~now_s:_ (b : Serve.Batcher.batch) =
+    let id = b.Serve.Batcher.batch_id in
+    if id mod fail_every = 0 then
+      if id mod 2 = 0 then raise (Serve.Node.Transient "injected") else failwith "injected"
+    else 0.2 +. (0.1 *. Float.of_int (Serve.Batcher.size b))
+  in
+  let cfg =
+    {
+      Fleet.default_config with
+      Fleet.fc_nodes = nodes;
+      fc_policy = policy;
+      fc_collect_responses = true;
+      fc_tenancy =
+        Fleet.single_tenant ~key_slots:(int 1 2) ~key_load_s:(Random.State.float st 0.3)
+          (CC.paper ());
+    }
+  in
+  let make_node id = Serve.Node.make ~on_terminal ~capacity:caps.(id mod nodes) ~execute () in
+  let expected_ids =
+    List.concat_map
+      (fun (r : Serve.Request.t) ->
+        let id = r.Serve.Request.req_id in
+        if follow_ups && id mod 2 = 0 then [ id; id + 1000 ] else [ id ])
+      initial
+  in
+  (Fleet.run ~pool cfg ~make_node ~arrivals:initial (), List.sort compare expected_ids)
+
+let test_random_traces_property () =
+  let pool1 = Exec.Pool.create ~jobs:1 () and pool2 = Exec.Pool.create ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool1; Exec.Pool.shutdown pool2)
+  @@ fun () ->
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 13 |])
+    (QCheck2.Test.make ~count:300 ~name:"fleet: one terminal response each, identity, jobs 1 = 2"
+       QCheck2.Gen.(int_bound 1_000_000)
+       (fun seed ->
+         let r, expected_ids = random_fleet_run ~pool:pool1 seed in
+         let r2, _ = random_fleet_run ~pool:pool2 seed in
+         let rp = report r and rp2 = report r2 in
+         let ids =
+           List.map
+             (fun (resp : Serve.Response.t) -> resp.Serve.Response.req.Serve.Request.req_id)
+             r.Fleet.fr_responses
+         in
+         let open Serve.Slo in
+         (* every offered request (follow-ups included) ends exactly once *)
+         List.sort compare ids = expected_ids
+         && rp.rp_offered = List.length ids
+         && rp.rp_offered
+            = rp.rp_completed + rp.rp_shed + rp.rp_failed + rp.rp_rejected_full
+              + rp.rp_rejected_expired + rp.rp_rejected_closed + rp.rp_rejected_tenant
+         && rp.rp_admitted = rp.rp_completed + rp.rp_shed + rp.rp_failed
+         (* bit-identical whatever the pool width *)
+         && r.Fleet.fr_responses = r2.Fleet.fr_responses
+         && rp = rp2
+         && r.Fleet.fr_router = r2.Fleet.fr_router
+         && r.Fleet.fr_key_hits = r2.Fleet.fr_key_hits))
+
 let suite =
   ( "fleet",
     [
@@ -494,4 +639,6 @@ let suite =
       Alcotest.test_case "scale-up under load" `Quick test_scale_up_under_load;
       Alcotest.test_case "scale-down drains gracefully" `Quick test_scale_down_drains_gracefully;
       Alcotest.test_case "bit-identical across jobs" `Quick test_fleet_bit_identical_across_jobs;
+      Alcotest.test_case "drain deadline closes a node" `Quick test_drain_deadline_closes_node;
+      Alcotest.test_case "random traces property" `Quick test_random_traces_property;
     ] )

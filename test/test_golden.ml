@@ -12,7 +12,7 @@
 module Exec = Cinnamon_exec
 module Json = Cinnamon_util.Json
 module Fleet = Cinnamon_fleet
-module Loadgen = Cinnamon_serve.Loadgen
+module Loadgen = Cinnamon_fleet.Loadgen
 
 let fresh_cache () =
   Exec.Result_cache.set_dir None;

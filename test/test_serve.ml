@@ -1,11 +1,14 @@
 (* Tests for Cinnamon_serve: admission queue, dynamic batcher,
-   virtual-time scheduler and SLO accounting — synthetic executors
-   throughout (no compiles), so every failure path is driven
-   deliberately: queue-full rejection, deadline shedding, transient
-   retries, permanent failure, drain-on-shutdown. *)
+   virtual-time scheduler and SLO accounting, driven through a
+   one-node fleet (a single server) — synthetic executors throughout
+   (no compiles), so every failure path is driven deliberately:
+   queue-full rejection, deadline shedding, transient retries,
+   permanent failure, drain-on-shutdown. *)
 
 open Cinnamon_serve
 module CC = Cinnamon_compiler.Compile_config
+module Fleet = Cinnamon_fleet.Fleet
+module Loadgen = Cinnamon_fleet.Loadgen
 
 let req ?config ?priority ?deadline_s ~id ~arrival_s () =
   Request.make ?config ?priority ?deadline_s ~id ~bench:"bootstrap" ~system:"cinnamon-4"
@@ -17,22 +20,25 @@ let const_executor ?(service = 1.0) calls ~now_s:_ _batch =
   incr calls;
   service
 
-(* The single-node entry point, via the first-class Node record. *)
+(* A single server: a one-node fleet over the first-class Node record. *)
 let run_server ?on_terminal ~capacity ~executor arrivals =
-  Server.run (Node.make ?on_terminal ~capacity ~execute:executor ()) ~arrivals ()
+  Fleet.run
+    { Fleet.default_config with Fleet.fc_nodes = 1; fc_collect_responses = true }
+    ~make_node:(fun _ -> Node.make ?on_terminal ~capacity ~execute:executor ())
+    ~arrivals ()
 
 let contains ~needle hay =
   let ls = String.length needle and ln = String.length hay in
   let rec scan i = i + ls <= ln && (String.sub hay i ls = needle || scan (i + 1)) in
   scan 0
 
-let outcomes (r : Server.result) =
-  List.map (fun (resp : Response.t) -> Response.outcome_name resp.Response.outcome) r.responses
+let outcomes (r : Fleet.result) =
+  List.map (fun (resp : Response.t) -> Response.outcome_name resp.Response.outcome) r.fr_responses
 
 let count name r = List.length (List.filter (( = ) name) (outcomes r))
 
-let find_response (r : Server.result) id =
-  List.find (fun (resp : Response.t) -> resp.Response.req.Request.req_id = id) r.responses
+let find_response (r : Fleet.result) id =
+  List.find (fun (resp : Response.t) -> resp.Response.req.Request.req_id = id) r.fr_responses
 
 let opt_ms = Alcotest.(option (float 1e-9))
 
@@ -94,7 +100,7 @@ let test_deadline_shed_while_queued () =
     Alcotest.(check (float 1e-9)) "deadline recorded" 1.0 deadline_s;
     Alcotest.(check bool) "shed after expiry" true (shed_s >= deadline_s)
   | o -> Alcotest.failf "expected Shed, got %s" (Response.outcome_name o));
-  let rp = Slo.report r.Server.slo ~duration_s:r.Server.makespan_s ~compiles:0 ~cache_hits:0 in
+  let rp = Slo.report r.Fleet.fr_slo ~duration_s:r.Fleet.fr_makespan_s ~compiles:0 ~cache_hits:0 in
   Alcotest.(check int) "slo sees the shed" 1 rp.Slo.rp_shed;
   Alcotest.(check bool) "shed rate positive" true (rp.Slo.rp_shed_rate > 0.0)
 
@@ -113,7 +119,7 @@ let test_retry_then_succeed () =
   (match (find_response r 0).Response.outcome with
   | Response.Completed { attempts; _ } -> Alcotest.(check int) "attempts recorded" 2 attempts
   | o -> Alcotest.failf "expected Completed, got %s" (Response.outcome_name o));
-  let rp = Slo.report r.Server.slo ~duration_s:1.0 ~compiles:0 ~cache_hits:0 in
+  let rp = Slo.report r.Fleet.fr_slo ~duration_s:1.0 ~compiles:0 ~cache_hits:0 in
   Alcotest.(check int) "one retry counted" 1 rp.Slo.rp_retries
 
 let test_retries_exhausted () =
@@ -174,7 +180,7 @@ let test_batch_respects_slot_cap () =
       | Response.Completed { batch_size; _ } ->
         Alcotest.(check bool) "batch within slot cap" true (batch_size <= 2)
       | o -> Alcotest.failf "expected Completed, got %s" (Response.outcome_name o))
-    r.Server.responses
+    r.Fleet.fr_responses
 
 let test_incompatible_requests_split_batches () =
   (* same arrival instant, different compile configs -> the batcher
@@ -258,7 +264,7 @@ let test_drain_completes_admitted () =
     { Node.default_capacity with Node.workers = 1; max_batch = 1; drain_after_s = Some 0.05 }
   in
   let r = run_server ~capacity ~executor:(const_executor calls) arrivals in
-  Alcotest.(check int) "every request has a response" 3 (List.length r.Server.responses);
+  Alcotest.(check int) "every request has a response" 3 (List.length r.Fleet.fr_responses);
   Alcotest.(check int) "admitted requests complete" 2 (count "completed" r);
   match (find_response r 2).Response.outcome with
   | Response.Rejected Admission.Closed -> ()
@@ -289,12 +295,12 @@ let test_every_offered_request_accounted () =
   let arrivals = List.init 20 (fun id -> req ~id ~arrival_s:(0.3 *. Float.of_int id) ()) in
   let capacity = { Node.default_capacity with Node.workers = 2; queue_capacity = 3 } in
   let r = run_server ~capacity ~executor:(const_executor ~service:2.0 calls) arrivals in
-  Alcotest.(check int) "20 responses for 20 requests" 20 (List.length r.Server.responses);
-  let rp = Slo.report r.Server.slo ~duration_s:r.Server.makespan_s ~compiles:0 ~cache_hits:0 in
+  Alcotest.(check int) "20 responses for 20 requests" 20 (List.length r.Fleet.fr_responses);
+  let rp = Slo.report r.Fleet.fr_slo ~duration_s:r.Fleet.fr_makespan_s ~compiles:0 ~cache_hits:0 in
   Alcotest.(check int) "offered = terminal outcomes"
     rp.Slo.rp_offered
     (rp.Slo.rp_completed + rp.Slo.rp_shed + rp.Slo.rp_failed + rp.Slo.rp_rejected_full
-   + rp.Slo.rp_rejected_expired + rp.Slo.rp_rejected_closed + rp.Slo.rp_rejected_fleet)
+   + rp.Slo.rp_rejected_expired + rp.Slo.rp_rejected_closed + rp.Slo.rp_rejected_tenant)
 
 let test_slo_report_json_shape () =
   let slo = Slo.create () in
@@ -338,13 +344,13 @@ let test_slo_merge_adds () =
   Slo.observe_completed a ~latency_s:0.1 ~met:true;
   Slo.observe_queue_depth a 3;
   Slo.observe_offered b;
-  Slo.observe_rejected b (Admission.Fleet_full { nodes = 2 });
+  Slo.observe_rejected b Admission.Closed;
   Slo.observe_queue_depth b 5;
   let m = Slo.merge [ a; b ] in
   let rp = Slo.report m ~duration_s:1.0 ~compiles:0 ~cache_hits:0 in
   Alcotest.(check int) "offered adds" 2 rp.Slo.rp_offered;
   Alcotest.(check int) "completed adds" 1 rp.Slo.rp_completed;
-  Alcotest.(check int) "fleet-full rejection counted" 1 rp.Slo.rp_rejected_fleet;
+  Alcotest.(check int) "closed rejection counted" 1 rp.Slo.rp_rejected_closed;
   Alcotest.(check int) "depth max pools" 5 rp.Slo.rp_queue_depth_max;
   Alcotest.check opt_ms "latency histogram merges" (Some 100.0) rp.Slo.rp_p50_ms
 
