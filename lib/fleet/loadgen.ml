@@ -2,8 +2,8 @@
    single default tenant.
 
    Two client models:
-   - Open loop: Poisson arrivals at a rate derived from the measured
-     service time of the request mix — [overload] = offered load as a
+   - Open loop: a Trace.generate Poisson trace at a rate derived from
+     the measured service time of the request mix — [overload] = offered load as a
      multiple of the node's aggregate service capacity, so
      overload > 1 provokes queueing, shedding and backpressure
      regardless of how fast the simulator happens to be for the
@@ -95,27 +95,31 @@ let run cfg =
   let stats0 = Exec.Result_cache.stats () in
   let calibrated = Scenario.calibrate ~pool ~compile:cfg.lg_compile cfg.lg_mix in
   let mean_service = Scenario.mean_service calibrated in
-  let rng = Rng.create ~seed:cfg.lg_seed in
-  let mk_request ~id ~arrival_s =
-    let cls, service_s = Trace.pick_class rng calibrated in
-    Request.make ~config:cfg.lg_compile ~priority:(Trace.pick_priority rng)
-      ~deadline_s:(arrival_s +. (cfg.lg_deadline_factor *. service_s))
-      ~id ~bench:cls.Scenario.cls_bench ~system:cls.Scenario.cls_system ~arrival_s ()
-  in
   let offered_rate, arrivals, on_terminal =
     match cfg.lg_mode with
     | Open_loop { overload } ->
       (* rate such that offered work = overload x node capacity *)
       let rate = overload *. Float.of_int cfg.lg_capacity.Node.workers /. mean_service in
-      let t = ref 0.0 in
-      let arrivals =
-        List.init cfg.lg_requests (fun id ->
-            let r = mk_request ~id ~arrival_s:!t in
-            t := !t +. (-.log (1.0 -. Rng.float rng) /. rate);
-            r)
+      let trace =
+        {
+          Trace.tr_shape = Trace.Poisson { rate_rps = rate };
+          tr_requests = cfg.lg_requests;
+          tr_seed = cfg.lg_seed;
+          tr_deadline_factor = cfg.lg_deadline_factor;
+          tr_compile = cfg.lg_compile;
+          tr_tenants = 0;
+          tr_tenant_skew = 1.0;
+        }
       in
-      (rate, arrivals, None)
+      (rate, Trace.generate trace ~classes:calibrated, None)
     | Closed_loop { clients; think_factor } ->
+      let rng = Rng.create ~seed:cfg.lg_seed in
+      let mk_request ~id ~arrival_s =
+        let cls, service_s = Trace.pick_class rng calibrated in
+        Request.make ~config:cfg.lg_compile ~priority:(Trace.pick_priority rng)
+          ~deadline_s:(arrival_s +. (cfg.lg_deadline_factor *. service_s))
+          ~id ~bench:cls.Scenario.cls_bench ~system:cls.Scenario.cls_system ~arrival_s ()
+      in
       let think = think_factor *. mean_service in
       let issued = ref 0 in
       let next_id () =
