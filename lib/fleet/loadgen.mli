@@ -12,7 +12,7 @@ module CC = Cinnamon_compiler.Compile_config
 
 type mode =
   | Open_loop of { overload : float }
-      (** Poisson arrivals at [overload] x the server's aggregate
+      (** Poisson arrivals at [overload] x the node's aggregate
           service capacity ([workers / mean service time]) — [> 1]
           provokes queueing and shedding *)
   | Closed_loop of { clients : int; think_factor : float }

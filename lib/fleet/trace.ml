@@ -31,7 +31,7 @@ type config = {
   tr_seed : int;
   tr_deadline_factor : float; (* deadline = arrival + factor * class service *)
   tr_compile : Cinnamon_compiler.Compile_config.t;
-  tr_tenants : int; (* <= 1: single default tenant (legacy traces) *)
+  tr_tenants : int; (* <= 1: single default tenant *)
   tr_tenant_skew : float; (* zipf exponent of the tenant popularity curve *)
 }
 
@@ -86,8 +86,9 @@ let generate cfg ~classes =
       thin
   in
   (* Tenant popularity: zipf-like weights 1/(i+1)^skew, CDF-sampled.
-     With <= 1 tenant no randomness is drawn at all, so legacy
-     single-tenant traces are byte-identical to pre-tenancy ones. *)
+     With <= 1 tenant no randomness is drawn at all, so a
+     single-tenant trace is the same stream with or without the
+     tenant draw. *)
   let pick_tenant =
     if cfg.tr_tenants <= 1 then fun () -> Cinnamon_tenant.Tenant_id.default
     else begin

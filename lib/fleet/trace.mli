@@ -20,7 +20,7 @@ type config = {
   tr_compile : Cinnamon_compiler.Compile_config.t;
   tr_tenants : int;
       (** population size; [<= 1] = single default tenant, drawing no
-          randomness, so legacy traces are byte-identical *)
+          randomness *)
   tr_tenant_skew : float;
       (** zipf exponent of tenant popularity (0 = uniform) *)
 }

@@ -27,7 +27,7 @@ type t = {
 (** [config] defaults to [Compile_config.paper ()], [priority] to
     [Normal], [deadline_s] to [infinity], [tenant] to
     [Tenant_id.default] and [epoch] to [Epoch.zero] (the single-tenant
-    legacy identity).  Raises [Invalid_argument] on a negative or nan
+    identity).  Raises [Invalid_argument] on a negative or nan
     arrival time. *)
 val make :
   ?config:Cinnamon_compiler.Compile_config.t ->

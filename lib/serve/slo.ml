@@ -1,5 +1,6 @@
-(* SLO accounting: a streaming accumulator the server feeds as requests
-   reach terminal states, and a report computed at the end of a run.
+(* SLO accounting: a streaming accumulator each node's engine feeds as
+   requests reach terminal states, and a report computed at the end of
+   a run.
 
    Latencies stream into a fixed-bucket geometric histogram
    (Cinnamon_util.Stats.Histogram), so memory is O(buckets) however
@@ -17,7 +18,7 @@
    - throughput = completed / duration;
    - goodput    = deadline-met completions / duration (the paper-world
      serving metric: work delivered in time);
-   - shed rate  = shed / admitted (admitted work the server gave up on);
+   - shed rate  = shed / admitted (admitted work the node gave up on);
    - reject rate = rejected / offered (work refused at the door, by a
      node's queue or by the tenant key store). *)
 

@@ -5,7 +5,7 @@
    id can never be confused with a node id, an epoch, or a request id —
    the indexed-table discipline of mitls-fstar's key stores, where the
    index type is the only way to name a key.  [default] is the
-   single-tenant identity legacy callers get for free. *)
+   identity of single-tenant runs. *)
 
 type t = int
 

@@ -6,7 +6,7 @@ type t
 (** Raises [Invalid_argument] on a negative id. *)
 val make : int -> t
 
-(** The single-tenant identity legacy (pre-tenancy) callers run as. *)
+(** The one tenant of a single-tenant run. *)
 val default : t
 
 val to_int : t -> int
